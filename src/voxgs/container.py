@@ -46,6 +46,7 @@ from .rlc import (
     MAX_ELEMENTS,
     decode_attributes,
     encode_attributes,
+    read_varints,
     rlc_decode,
     rlc_encode,
     varint_pack,
@@ -75,20 +76,9 @@ class _Cursor:
         self.pos += n
         return out
 
-    def varint(self) -> int:
-        value = 0
-        shift = 0
-        while True:
-            if self.pos >= len(self.data):
-                raise CorruptStreamError("truncated varint in header")
-            byte = self.data[self.pos]
-            self.pos += 1
-            value |= (byte & 0x7F) << shift
-            if not byte & 0x80:
-                return value
-            shift += 7
-            if shift > 63:
-                raise CorruptStreamError("varint longer than 10 bytes")
+    def varints(self, count: int) -> list:
+        values, self.pos = read_varints(self.data, self.pos, count)
+        return values
 
 
 def quantize_cloud(fcloud: FloatAnchorCloud, quant: QuantParams) -> AnchorCloud:
@@ -173,22 +163,17 @@ def decode_container(data: bytes) -> AnchorCloud:
     if version != VERSION:
         raise CorruptStreamError(f"unsupported version {version}")
 
-    anchor_count = cur.varint()
-    q_p = cur.varint()
+    anchor_count, q_p, *fractions, k, m = cur.varints(10)
     scales = []
-    for name in ("q_o", "q_a", "q_s"):
-        num = cur.varint()
-        den = cur.varint()
+    for name, num, den in zip(("q_o", "q_a", "q_s"), fractions[0::2], fractions[1::2]):
         if num == 0 or den == 0:
             raise CorruptStreamError(f"{name} must be a positive rational")
         scales.append(Fraction(num, den))
-    k = cur.varint()
-    m = cur.varint()
     bbox = np.array(struct.unpack("<6d", cur.take(48))).reshape(2, 3)
     if not np.all(np.isfinite(bbox)):
         raise CorruptStreamError("non-finite bounding box")
-    blob_len = cur.varint()
-    table = [(cur.varint(), cur.varint()) for _ in _SECTION_ORDER]
+    blob_len, *spans = cur.varints(1 + 2 * len(_SECTION_ORDER))
+    table = list(zip(spans[0::2], spans[1::2]))
     header_len = cur.pos
 
     if anchor_count > MAX_ELEMENTS:
@@ -362,6 +347,11 @@ def read_anchor_file(path) -> FloatAnchorCloud:
     except ValueError as exc:
         fail(idx, str(exc))
     width = 3 + layout.total_dims
+    # Every line after the header is a data row, so a declared count above
+    # the lines present is an error before it becomes an allocation.
+    present = sum(1 for line in lines[idx:] if line.strip())
+    if n > present:
+        fail(len(lines), f"expected {n} data rows, found {present}")
 
     rows = np.zeros((n, width))
     row = 0

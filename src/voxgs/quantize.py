@@ -17,6 +17,7 @@ from .model import MAX_GRID
 
 INT32_MIN = -(2**31)
 INT32_MAX = 2**31 - 1
+INT64_LIMIT = 2.0**63  # rounded magnitudes must stay below this to fit int64
 
 
 def ste_round(x):
@@ -28,8 +29,12 @@ def ste_round(x):
     arr = np.asarray(x, dtype=np.float64)
     if not np.all(np.isfinite(arr)):
         raise ValueError("ste_round requires finite input")
-    rounded = np.sign(arr) * np.floor(np.abs(arr) + 0.5)
-    out = rounded.astype(np.int64)
+    magnitude = np.floor(np.abs(arr) + 0.5)
+    # Checked before the cast: numpy casts out-of-range floats with a warning
+    # and an arbitrary result.
+    if magnitude.size and magnitude.max() >= INT64_LIMIT:
+        raise ValueError("ste_round input exceeds the int64 range")
+    out = (np.sign(arr) * magnitude).astype(np.int64)
     if np.isscalar(x) or arr.ndim == 0:
         return int(out)
     return out

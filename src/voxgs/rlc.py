@@ -5,6 +5,14 @@ Per-channel byte format (bit-exact):
 until element_count elements have been produced. Varints are little-endian
 base-128 with continuation bit 0x80. Runs are maximal: adjacent tokens carry
 distinct values. There is no further entropy-coding stage (bypass mode).
+
+An attribute group is its channels' streams concatenated, channel-major.
+The whole group is coded in one pass: it is flattened channel-major with a
+run break forced at every channel start, tokenized at once and packed with
+one varint_pack call; decoding unpacks the group once and expands it with
+one repeat. A single channel (rlc_encode, rlc_decode) is the one-channel
+case of the same kernels, and varint_pack, varint_unpack_all and
+read_varints hold the only LEB128 writer and decoding rule of the codec.
 """
 
 from __future__ import annotations
@@ -34,25 +42,35 @@ def zigzag_decode(values: np.ndarray) -> np.ndarray:
     return ((v >> np.uint64(1)).astype(np.int64)) ^ -((v & np.uint64(1)).astype(np.int64))
 
 
+# Smallest value that needs j + 1 bytes, for j = 1 .. 9: 2**7, 2**14, ..., 2**63.
+_VARINT_THRESHOLDS = np.array(
+    [1 << (7 * j) for j in range(1, _MAX_VARINT_BYTES)], dtype=np.uint64
+)
+
+
+def _septet(values: np.ndarray, j: int, more: np.ndarray) -> np.ndarray:
+    """Byte j of each value's varint: 7 value bits plus the continuation bit."""
+    low = (values >> np.uint64(7 * j)) & np.uint64(0x7F)
+    return (low | (more.astype(np.uint64) << np.uint64(7))).astype(np.uint8)
+
+
 def varint_pack(values: np.ndarray) -> bytes:
     """Serialize an array of uint64 as concatenated LEB128 varints."""
     v = np.ascontiguousarray(values, dtype=np.uint64)
     if v.size == 0:
         return b""
-    nbits = np.zeros(v.shape, dtype=np.int64)
-    tmp = v.copy()
-    while np.any(tmp):
-        nz = tmp > 0
-        nbits[nz] += 1
-        tmp >>= np.uint64(1)
-    nbytes = np.maximum(1, -(-nbits // 7))
-    offsets = np.concatenate(([0], np.cumsum(nbytes)))
-    out = np.zeros(offsets[-1], dtype=np.uint8)
-    for j in range(int(nbytes.max())):
-        sel = nbytes > j
-        byte = (v[sel] >> np.uint64(7 * j)) & np.uint64(0x7F)
-        cont = (nbytes[sel] - 1 > j).astype(np.uint64) * np.uint64(0x80)
-        out[offsets[:-1][sel] + j] = (byte | cont).astype(np.uint8)
+    width = int(np.searchsorted(_VARINT_THRESHOLDS, v.max(), side="right")) + 1
+    nbytes = np.ones(v.size, dtype=np.int64)
+    for threshold in _VARINT_THRESHOLDS[: width - 1]:
+        nbytes += v >= threshold
+    starts = np.cumsum(nbytes) - nbytes
+    out = np.empty(int(starts[-1] + nbytes[-1]), dtype=np.uint8)
+    out[starts] = _septet(v, 0, nbytes > 1)
+    # Later bytes touch only the values that are still that long.
+    idx = np.flatnonzero(nbytes > 1)
+    for j in range(1, width):
+        idx = idx[nbytes[idx] > j]
+        out[starts[idx] + j] = _septet(v[idx], j, nbytes[idx] > j + 1)
     return out.tobytes()
 
 
@@ -61,19 +79,41 @@ def varint_unpack_all(data: bytes) -> np.ndarray:
     buf = np.frombuffer(data, dtype=np.uint8)
     if buf.size == 0:
         return np.zeros(0, dtype=np.uint64)
-    cont = (buf & 0x80) != 0
+    cont = buf >= 0x80
     if cont[-1]:
         raise CorruptStreamError("truncated varint at end of stream")
     ends = np.flatnonzero(~cont)
-    starts = np.concatenate(([0], ends[:-1] + 1))
-    lengths = ends - starts + 1
-    if np.any(lengths > _MAX_VARINT_BYTES):
+    lengths = np.diff(ends, prepend=-1)
+    width = int(lengths.max())
+    if width > _MAX_VARINT_BYTES:
         raise CorruptStreamError("varint longer than 10 bytes")
-    values = np.zeros(ends.size, dtype=np.uint64)
-    for j in range(int(lengths.max())):
-        sel = lengths > j
-        values[sel] |= (buf[starts[sel] + j].astype(np.uint64) & np.uint64(0x7F)) << np.uint64(7 * j)
+    starts = ends + 1 - lengths
+    values = (buf[starts] & 0x7F).astype(np.uint64)
+    idx = np.flatnonzero(lengths > 1)
+    for j in range(1, width):
+        idx = idx[lengths[idx] > j]
+        values[idx] |= (buf[starts[idx] + j] & 0x7F).astype(np.uint64) << np.uint64(7 * j)
     return values
+
+
+def read_varints(data: bytes, pos: int, count: int):
+    """Read count consecutive varints starting at data[pos].
+
+    Decodes through varint_unpack_all, so it keeps the same rule and errors,
+    and also fails when the data ends before count varints are complete.
+    Returns (list of ints, position just past the last varint).
+    """
+    window = data[pos : pos + count * _MAX_VARINT_BYTES]
+    ends = np.flatnonzero(np.frombuffer(window, dtype=np.uint8) < 0x80)[:count]
+    stop = int(ends[-1]) + 1 if ends.size else 0
+    values = varint_unpack_all(window[:stop])
+    if ends.size < count:
+        # The unterminated tail is either a varint that runs past 10 bytes
+        # or one cut off by the end of the data.
+        if len(window) - stop >= _MAX_VARINT_BYTES:
+            raise CorruptStreamError("varint longer than 10 bytes")
+        raise CorruptStreamError("truncated varint")
+    return [int(v) for v in values], pos + stop
 
 
 @dataclass(frozen=True)
@@ -93,65 +133,90 @@ class RlcStream:
         return 8 * len(self.serialized)
 
 
+def _encode_channels(mat: np.ndarray):
+    """Tokenize and serialize every column of an (n, c) matrix in one pass.
+
+    The matrix is flattened channel-major and a run break is forced at every
+    channel start, so runs stay maximal within a channel and never cross into
+    the next. The serialization is the per-channel streams concatenated.
+    Returns (token values, run lengths, serialized bytes).
+    """
+    n, dims = mat.shape
+    flat = np.asarray(mat).ravel(order="F")
+    if flat.size:
+        brk = np.empty(flat.size, dtype=bool)
+        np.not_equal(flat[1:], flat[:-1], out=brk[1:])
+        brk[::n] = True
+        starts = np.flatnonzero(brk)
+    else:
+        starts = np.zeros(0, dtype=np.int64)
+    token_values = flat[starts].astype(np.int64, copy=False)
+    runs = np.diff(starts, append=flat.size)
+    pairs = np.empty((token_values.size, 2), dtype=np.uint64)
+    pairs[:, 0] = runs
+    pairs[:, 1] = zigzag_encode(token_values)
+    # Each channel's count slot goes before the pair of its first token.
+    first_token = np.searchsorted(starts // max(n, 1), np.arange(dims))
+    slots = np.insert(pairs.ravel(), 2 * first_token, n)
+    return token_values, runs, varint_pack(slots)
+
+
 def tokenize_runs(values: np.ndarray):
     """Split a sequence into (token values, run lengths) with maximal runs."""
     seq = np.asarray(values, dtype=np.int64).ravel()
-    if seq.size == 0:
-        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
-    breaks = np.flatnonzero(seq[1:] != seq[:-1])
-    starts = np.concatenate(([0], breaks + 1))
-    runs = np.diff(np.concatenate((starts, [seq.size])))
-    return seq[starts], runs
+    token_values, runs, _ = _encode_channels(seq[:, None])
+    return token_values, runs
 
 
 def rlc_encode(values) -> RlcStream:
     """Encode a signed integer sequence; empty sequences are allowed."""
     seq = np.asarray(values, dtype=np.int64).ravel()
-    token_values, runs = tokenize_runs(seq)
-    interleaved = np.empty(2 * token_values.size + 1, dtype=np.uint64)
-    interleaved[0] = seq.size
-    interleaved[1::2] = runs.astype(np.uint64)
-    interleaved[2::2] = zigzag_encode(token_values)
-    return RlcStream(
-        values=token_values,
-        run_lengths=runs,
-        serialized=varint_pack(interleaved),
-    )
+    token_values, runs, serialized = _encode_channels(seq[:, None])
+    return RlcStream(values=token_values, run_lengths=runs, serialized=serialized)
 
 
-def _expand_tokens(token_values, runs):
-    return np.repeat(token_values, runs)
+def _decode_channels(varints: np.ndarray, dims: int, max_elements: int):
+    """Decode dims consecutive channel streams from the start of a varint array.
 
-
-def _decode_channel(varints: np.ndarray, cursor: int, max_elements: int):
-    """Decode one channel stream starting at varint index cursor.
-
-    Returns (decoded int64 array, next cursor).
+    Run sums come from one prefix sum per slot parity over the whole array.
+    A channel's end is then a binary search within its own window of
+    2 * count slots, so no channel scans the slots of the channels after it.
+    Returns (the channels' elements concatenated, each channel's element
+    count, index of the first varint after the last channel).
     """
-    if cursor >= varints.size:
-        raise CorruptStreamError("missing channel stream")
-    count = int(varints[cursor])
-    if count > max_elements:
-        raise CorruptStreamError(f"element count {count} exceeds limit {max_elements}")
-    cursor += 1
-    # Tokens for this channel occupy pairs starting at cursor; later channels
-    # follow, so walk the cumulative run sum until it reaches count exactly.
-    run_slots = varints[cursor::2]
-    cum = np.cumsum(run_slots.astype(np.int64))
-    if count == 0:
-        return np.zeros(0, dtype=np.int64), cursor
-    hit = np.searchsorted(cum, count)
-    if hit >= cum.size or cum[hit] != count:
-        raise CorruptStreamError("run lengths do not sum to the element count")
-    tokens = hit + 1
-    end = cursor + 2 * tokens
-    if end > varints.size:
-        raise CorruptStreamError("truncated token stream")
-    runs = run_slots[:tokens].astype(np.int64)
+    # Clipping keeps the prefix sums from wrapping; a clipped run still
+    # overshoots any count the caller accepts.
+    clipped = np.minimum(varints, max_elements + 1).astype(np.int64)
+    prefix = [np.concatenate(([0], np.cumsum(clipped[p::2]))) for p in (0, 1)]
+    counts = []
+    firsts = []
+    tokens = []
+    cursor = 0
+    for _ in range(dims):
+        if cursor >= varints.size:
+            raise CorruptStreamError("missing channel stream")
+        count = int(varints[cursor])
+        if count > max_elements:
+            raise CorruptStreamError(f"element count {count} exceeds limit {max_elements}")
+        first = cursor + 1
+        cum = prefix[first & 1][first >> 1 :][: count + 1]
+        target = cum[0] + count
+        t = int(cum.searchsorted(target))
+        if t == cum.size or cum[t] != target:
+            raise CorruptStreamError("run lengths do not sum to the element count")
+        cursor = first + 2 * t
+        if cursor > varints.size:
+            raise CorruptStreamError("truncated token stream")
+        counts.append(count)
+        firsts.append(first)
+        tokens.append(t)
+    tokens = np.asarray(tokens, dtype=np.int64)
+    before = np.cumsum(tokens) - tokens
+    run_slots = np.repeat(np.asarray(firsts) - 2 * before, tokens) + 2 * np.arange(tokens.sum())
+    runs = varints[run_slots].astype(np.int64)
     if np.any(runs < 1):
         raise CorruptStreamError("run length of zero")
-    values = zigzag_decode(varints[cursor + 1 : end : 2])
-    return _expand_tokens(values, runs), end
+    return np.repeat(zigzag_decode(varints[run_slots + 1]), runs), counts, cursor
 
 
 def rlc_decode(data, max_elements: int = MAX_ELEMENTS) -> np.ndarray:
@@ -161,7 +226,7 @@ def rlc_decode(data, max_elements: int = MAX_ELEMENTS) -> np.ndarray:
     varints = varint_unpack_all(bytes(data))
     if varints.size == 0:
         raise CorruptStreamError("empty stream")
-    decoded, end = _decode_channel(varints, 0, max_elements)
+    decoded, _, end = _decode_channels(varints, 1, max_elements)
     if end != varints.size:
         raise CorruptStreamError("trailing bytes after stream")
     return decoded
@@ -172,6 +237,8 @@ def encode_attributes(cloud: AnchorCloud):
 
     Channels are serialized channel-major: within each group, all anchors'
     channel 0, then channel 1, and so on, each channel an independent stream.
+    Each group is tokenized and serialized in one pass; the bytes are those
+    of the per-channel streams concatenated.
     Returns (payloads, bits) dicts keyed by group name.
     """
     if cloud.anchor_count > 1 and not is_morton_sorted(cloud.positions):
@@ -179,33 +246,31 @@ def encode_attributes(cloud: AnchorCloud):
     payloads = {}
     bits = {}
     for name in GROUPS:
-        mat = cloud.group(name)
-        chunks = [rlc_encode(mat[:, c]).serialized for c in range(mat.shape[1])]
-        payloads[name] = b"".join(chunks)
+        payloads[name] = _encode_channels(cloud.group(name))[2]
         bits[name] = 8 * len(payloads[name])
     return payloads, bits
 
 
 def decode_attributes(payloads, layout: AttributeLayout, anchor_count: int):
-    """Invert encode_attributes; returns (offsets, features, scalings) int32 matrices."""
+    """Invert encode_attributes; returns (offsets, features, scalings) int32 matrices.
+
+    Each group is parsed with one varint pass and expanded with one repeat.
+    """
     if anchor_count < 0 or anchor_count > MAX_ELEMENTS:
         raise CorruptStreamError(f"implausible anchor count {anchor_count}")
     out = {}
     for name in GROUPS:
         dims = layout.dims_for(name)
         varints = varint_unpack_all(bytes(payloads[name]))
-        mat = np.zeros((anchor_count, dims), dtype=np.int64)
-        cursor = 0
-        for c in range(dims):
-            column, cursor = _decode_channel(varints, cursor, anchor_count)
-            if column.size != anchor_count:
+        flat, counts, end = _decode_channels(varints, dims, anchor_count)
+        for c, count in enumerate(counts):
+            if count != anchor_count:
                 raise CorruptStreamError(
-                    f"{name} channel {c} decodes {column.size} elements, expected {anchor_count}"
+                    f"{name} channel {c} decodes {count} elements, expected {anchor_count}"
                 )
-            mat[:, c] = column
-        if cursor != varints.size:
+        if end != varints.size:
             raise CorruptStreamError(f"trailing bytes after {name} channels")
-        if mat.size and (mat.min() < -(2**31) or mat.max() > 2**31 - 1):
+        if flat.size and (flat.min() < -(2**31) or flat.max() > 2**31 - 1):
             raise CorruptStreamError(f"{name} values overflow int32")
-        out[name] = mat.astype(np.int32)
+        out[name] = np.ascontiguousarray(flat.reshape(dims, anchor_count).T, dtype=np.int32)
     return out["offsets"], out["features"], out["scalings"]

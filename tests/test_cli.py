@@ -51,6 +51,18 @@ class TestEncode:
         result = runner.invoke(main, ["encode", str(bad), str(tmp_path / "o")])
         assert result.exit_code == 2
 
+    def test_declared_anchor_count_beyond_file_rejected(self, runner, tmp_path):
+        bad = tmp_path / "huge.txt"
+        row = " ".join(["0.5"] * 16)
+        bad.write_text(
+            "voxgs-anchors 1\nanchors 10000000000000\nk 1\nm 4\nbbox 0 0 0 1 1 1\n" + row + "\n"
+        )
+        result = runner.invoke(main, ["encode", str(bad), str(tmp_path / "o")])
+        assert result.exit_code == 2
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+        assert "Traceback" not in result.output
+        assert "expected 10000000000000 data rows, found 1" in result.output
+
     def test_preset(self, runner, anchor_file, tmp_path):
         out = tmp_path / "p.vxgs"
         result = runner.invoke(

@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -33,6 +34,17 @@ class TestSteRound:
             ste_round(float("nan"))
         with pytest.raises(ValueError):
             ste_round(np.array([1.0, np.inf]))
+
+    def test_out_of_int64_range_rejected_before_cast(self):
+        # Casting such a float to int64 warns and yields garbage; the range
+        # check must come first, so no warning may escape.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for x in (np.array([1e300]), -1e300, np.array([0.0, 2.0**63])):
+                with pytest.raises(ValueError, match="int64"):
+                    ste_round(x)
+            assert ste_round(2.0**63 - 1024) == 2**63 - 1024
+            assert ste_round(-(2.0**63 - 1024)) == -(2**63 - 1024)
 
 
 class TestQuantizeFeatures:

@@ -1,12 +1,22 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from voxgs import RlcStream, decode_attributes, encode_attributes, rlc_decode, rlc_encode
+from voxgs import (
+    AnchorCloud,
+    AttributeLayout,
+    QuantParams,
+    RlcStream,
+    decode_attributes,
+    encode_attributes,
+    rlc_decode,
+    rlc_encode,
+)
 from voxgs.errors import CorruptStreamError
 from voxgs.geometry import sort_by_morton
 from voxgs.rlc import (
+    read_varints,
     tokenize_runs,
     varint_pack,
     varint_unpack_all,
@@ -28,6 +38,64 @@ def varint_len_oracle(value):
 
 def zigzag_oracle(value):
     return 2 * value if value >= 0 else -2 * value - 1
+
+
+def leb128_oracle(value):
+    """Independent LEB128 bytes of one unsigned value."""
+    out = bytearray()
+    while True:
+        byte = value & 0x7F
+        value >>= 7
+        if not value:
+            out.append(byte)
+            return bytes(out)
+        out.append(byte | 0x80)
+
+
+def stream_oracle(column):
+    """One channel stream, [count](run, zigzag)* over maximal runs, by a plain scan."""
+    out = bytearray(leb128_oracle(len(column)))
+    i = 0
+    while i < len(column):
+        j = i
+        while j < len(column) and column[j] == column[i]:
+            j += 1
+        out += leb128_oracle(j - i) + leb128_oracle(zigzag_oracle(column[i]))
+        i = j
+    return bytes(out)
+
+
+INT32_EXTREMES = [-(2**31), -(2**31) + 1, -1, 0, 1, 2**31 - 2, 2**31 - 1]
+
+
+@st.composite
+def attribute_clouds(draw):
+    """(n, k, m, row-major values) for a small cloud; few distinct values make runs."""
+    n = draw(st.integers(0, 12))
+    k = draw(st.integers(1, 2))
+    m = draw(st.integers(1, 3))
+    width = 3 * k + m + 6
+    value = st.sampled_from(INT32_EXTREMES) | st.integers(-(2**31), 2**31 - 1)
+    values = draw(st.lists(value, min_size=n * width, max_size=n * width))
+    return n, k, m, values
+
+
+def cloud_from(n, k, m, values):
+    layout = AttributeLayout(k=k, m=m)
+    rows = np.array(values, dtype=np.int32).reshape(n, 3 * k + m + 6)
+    od = layout.offset_dims
+    # Points along the x axis are distinct and already in Morton order.
+    positions = np.zeros((n, 3), dtype=np.int64)
+    positions[:, 0] = np.arange(n)
+    return AnchorCloud(
+        positions=positions,
+        offsets=rows[:, :od],
+        features=rows[:, od : od + m],
+        scalings=rows[:, od + m :],
+        layout=layout,
+        quant=QuantParams(q_p=16),
+        bbox=np.array([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]]),
+    )
 
 
 class TestZigzag:
@@ -58,6 +126,20 @@ class TestVarint:
         assert len(packed) == sum(varint_len_oracle(int(x)) for x in v)
         assert np.array_equal(varint_unpack_all(packed), v)
 
+    def test_every_length_boundary(self):
+        # 2**7j - 1 is the largest value of j bytes, 2**7j the smallest of j + 1.
+        edges = [0, 2**64 - 1]
+        for j in range(1, 10):
+            edges += [2**(7 * j) - 1, 2**(7 * j)]
+        for value in edges:
+            packed = varint_pack(np.array([value], dtype=np.uint64))
+            assert packed == leb128_oracle(value), value
+            assert len(packed) == varint_len_oracle(value)
+        v = np.array(edges, dtype=np.uint64)
+        packed = varint_pack(v)
+        assert packed == b"".join(leb128_oracle(int(x)) for x in v)
+        assert np.array_equal(varint_unpack_all(packed), v)
+
     def test_truncated(self):
         with pytest.raises(CorruptStreamError):
             varint_unpack_all(b"\x80")
@@ -65,6 +147,28 @@ class TestVarint:
     def test_overlong(self):
         with pytest.raises(CorruptStreamError):
             varint_unpack_all(b"\x80" * 11 + b"\x01")
+
+
+class TestReadVarints:
+    def test_reads_count_values_and_stops(self):
+        data = b"\xff" + varint_pack(np.array([300, 0, 2**64 - 1, 7], dtype=np.uint64))
+        values, pos = read_varints(data, 1, 3)
+        assert values == [300, 0, 2**64 - 1]
+        assert pos == len(data) - 1
+
+    def test_truncated(self):
+        with pytest.raises(CorruptStreamError, match="truncated"):
+            read_varints(b"\x05\x80\x80", 0, 2)
+        with pytest.raises(CorruptStreamError, match="truncated"):
+            read_varints(b"\x05", 1, 1)
+
+    def test_overlong(self):
+        with pytest.raises(CorruptStreamError, match="longer than 10"):
+            read_varints(b"\x80" * 10 + b"\x01", 0, 1)
+        with pytest.raises(CorruptStreamError, match="longer than 10"):
+            read_varints(b"\x01" + b"\x80" * 10, 0, 2)
+        # Ten bytes is the longest legal varint.
+        assert read_varints(b"\x80" * 9 + b"\x01", 0, 1) == ([1 << 63], 10)
 
 
 class TestRlcEncode:
@@ -258,6 +362,43 @@ class TestAttributeCoding:
         payloads, _ = encode_attributes(cloud)
         with pytest.raises(CorruptStreamError):
             decode_attributes(payloads, cloud.layout, cloud.anchor_count + 1)
+
+    @settings(max_examples=150, deadline=None)
+    @given(attribute_clouds())
+    @example((0, 1, 1, []))
+    @example((1, 1, 1, list(range(10))))
+    # Constant cloud: every channel ends on the value the next one starts with.
+    @example((3, 1, 2, [4] * 33))
+    @example((2, 1, 1, (INT32_EXTREMES * 3)[:20]))
+    def test_group_bytes_match_per_channel_oracle(self, case):
+        cloud = cloud_from(*case)
+        payloads, bits = encode_attributes(cloud)
+        for name in ("offsets", "features", "scalings"):
+            mat = cloud.group(name)
+            expected = b"".join(stream_oracle(mat[:, c].tolist()) for c in range(mat.shape[1]))
+            assert payloads[name] == expected
+            assert bits[name] == 8 * len(expected)
+        decoded = decode_attributes(payloads, cloud.layout, cloud.anchor_count)
+        for name, mat in zip(("offsets", "features", "scalings"), decoded):
+            assert np.array_equal(mat, cloud.group(name))
+
+    def test_runs_overrunning_into_next_channel_rejected(self):
+        layout = AttributeLayout(k=1, m=2)
+        z = zigzag_oracle
+        good = {
+            "offsets": stream_oracle([1, 1, 1]) * 3,
+            "features": stream_oracle([5, 5, 6]) + stream_oracle([7, 7, 7]),
+            "scalings": stream_oracle([0, 0, 0]) * 6,
+        }
+        assert [m.tolist() for m in decode_attributes(good, layout, 3)][1] == [[5, 7], [5, 7], [6, 7]]
+        # Channel 0 drops its last token, so its run sum reaches into
+        # channel 1 and counts channel 1's count slot as a run.
+        short = varint_pack(np.array([3, 2, z(5), 3, 3, z(7)], dtype=np.uint64))
+        # Channel 0's last run is too long and covers channel 1's elements.
+        long = varint_pack(np.array([3, 2, z(5), 4, z(6), 3, 3, z(7)], dtype=np.uint64))
+        for features in (short, long):
+            with pytest.raises(CorruptStreamError):
+                decode_attributes(dict(good, features=features), layout, 3)
 
     def test_stream_properties(self):
         stream = rlc_encode([9, 9, 1])
