@@ -6,6 +6,7 @@ import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
+from pathlib import Path
 
 import click
 import numpy as np
@@ -13,7 +14,7 @@ import numpy as np
 from . import container as cont
 from .errors import AnchorFileError, CorrelationUndefinedError, CorruptStreamError, VoxgsError
 from .model import AttributeLayout, QuantParams
-from .rate import calibrate_alpha
+from .rate import bit_shares, calibrate_alpha
 from .sandbox import make_scene, measure_rlc_bits, run
 
 EXIT_INPUT = 2
@@ -47,11 +48,11 @@ def _thread_cap() -> int:
     return os.cpu_count() or 1
 
 
-def _atomic_write(path, data: bytes):
+def _atomic_write(path, write):
+    """Call write(tmp) on a temporary sibling of path, then move it onto path."""
     tmp = f"{path}.tmp{os.getpid()}"
     try:
-        with open(tmp, "wb") as fh:
-            fh.write(data)
+        write(tmp)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -63,14 +64,8 @@ def _quant_from_options(preset, qp, qo, qa, qs) -> QuantParams:
     base = {"q_p": 1024, "q_o": Fraction(1), "q_a": Fraction(1), "q_s": Fraction(8)}
     if preset:
         base.update(PRESETS[preset])
-    if qp is not None:
-        base["q_p"] = qp
-    if qo is not None:
-        base["q_o"] = qo
-    if qa is not None:
-        base["q_a"] = qa
-    if qs is not None:
-        base["q_s"] = qs
+    given = {"q_p": qp, "q_o": qo, "q_a": qa, "q_s": qs}
+    base.update({key: value for key, value in given.items() if value is not None})
     return QuantParams(**base)
 
 
@@ -107,14 +102,13 @@ def encode(input_path, output_path, qp, qo, qa, qs, preset):
     except (AnchorFileError, VoxgsError, ValueError) as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(EXIT_INPUT)
-    _atomic_write(output_path, blob)
+    _atomic_write(output_path, lambda tmp: Path(tmp).write_bytes(blob))
 
-    report = cont.analyze_container(blob)
+    bits = cont.section_bits(blob)
+    shares = bit_shares(bits)
     click.echo(f"wrote {output_path}: {len(blob)} bytes, {cloud.anchor_count} anchors")
     for key in ("P", "O", "A", "S", "MLP"):
-        click.echo(
-            f"  {key:<4}{report.actual_bits[key] // 8:>10} bytes  {report.percentages[key]:6.2f}%"
-        )
+        click.echo(f"  {key:<4}{bits[key] // 8:>10} bytes  {shares[key]:6.2f}%")
 
 
 @main.command()
@@ -129,14 +123,8 @@ def decode(input_path, output_path):
     except CorruptStreamError as exc:
         click.echo(f"corrupt container: {exc}", err=True)
         sys.exit(EXIT_CORRUPT)
-    tmp = f"{output_path}.tmp{os.getpid()}"
-    try:
-        cont.write_anchor_file(tmp, cont.dequantize_cloud(cloud))
-        os.replace(tmp, output_path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    fcloud = cont.dequantize_cloud(cloud)
+    _atomic_write(output_path, lambda tmp: cont.write_anchor_file(tmp, fcloud))
     click.echo(f"wrote {output_path}: {cloud.anchor_count} anchors")
 
 
@@ -156,20 +144,11 @@ def analyze(input_path, fmt):
 
 
 def _corpus_sequences(corpus_dir, synthetic, seed):
-    layout = AttributeLayout(k=4, m=12)
-    sequences = []
     if corpus_dir:
         paths = sorted(
             os.path.join(corpus_dir, p) for p in os.listdir(corpus_dir) if not p.startswith(".")
         )
-        for path in paths:
-            fcloud = cont.read_anchor_file(path)
-            cloud = cont.quantize_cloud(fcloud, QuantParams(q_p=256))
-            sequences.append(
-                np.concatenate(
-                    [cloud.group(g).T.ravel() for g in ("offsets", "features", "scalings")]
-                )
-            )
+        fclouds = (cont.read_anchor_file(path) for path in paths)
     else:
         rng = np.random.default_rng(seed)
         # Smooth scenes have both long runs and concentrated marginals, so the
@@ -178,20 +157,22 @@ def _corpus_sequences(corpus_dir, synthetic, seed):
         scales = np.exp(np.linspace(np.log(8.0), np.log(0.5), synthetic))
         biases = np.linspace(0.0, 0.9, synthetic)
         sizes = np.exp(rng.uniform(np.log(100), np.log(10000), synthetic)).astype(int)
-        for i in range(synthetic):
-            fcloud = cont.generate_synthetic(
+        fclouds = (
+            cont.generate_synthetic(
                 seed=seed + i,
                 anchors=int(sizes[i]),
-                layout=layout,
+                layout=AttributeLayout(k=4, m=12),
                 run_bias=float(biases[i]),
                 value_scale=float(scales[i]),
             )
-            cloud = cont.quantize_cloud(fcloud, QuantParams(q_p=256))
-            sequences.append(
-                np.concatenate(
-                    [cloud.group(g).T.ravel() for g in ("offsets", "features", "scalings")]
-                )
-            )
+            for i in range(synthetic)
+        )
+    sequences = []
+    for fcloud in fclouds:
+        cloud = cont.quantize_cloud(fcloud, QuantParams(q_p=256))
+        sequences.append(
+            np.concatenate([cloud.group(g).T.ravel() for g in ("offsets", "features", "scalings")])
+        )
     return sequences
 
 
@@ -223,26 +204,16 @@ def calibrate(corpus_dir, synthetic, seed):
 
 
 def _sweep_point(fcloud, quant: QuantParams):
-    cloud = cont.quantize_cloud(fcloud, quant)
+    cloud, kept = cont.quantize_cloud_kept(fcloud, quant)
     blob = cont.encode_container(cloud)
-    report = cont.analyze_container(blob)
     deq = cont.dequantize_cloud(cloud)
-    # Distortion: MSE of dequantized attributes vs the surviving input rows.
-    errs = []
-    for g in ("offsets", "features", "scalings"):
-        ref = getattr(fcloud, g)
-        got = getattr(deq, g)
-        if got.shape[0] != ref.shape[0]:
-            # Duplicate-collapsed anchors: compare against first-wins rows.
-            from .quantize import quantize_positions
-
-            _, dup = quantize_positions(fcloud.positions, quant.q_p, fcloud.bbox)
-            first = np.full(got.shape[0], ref.shape[0], dtype=np.int64)
-            np.minimum.at(first, dup, np.arange(ref.shape[0]))
-            ref = ref[first]
-        errs.append(((got - ref) ** 2).ravel())
-    mse = float(np.concatenate(errs).mean()) if errs else 0.0
-    return 8 * len(blob), report.actual_bits["P"], mse
+    # Distortion: MSE of dequantized attributes vs the input rows that were kept.
+    errs = [
+        ((getattr(deq, g) - getattr(fcloud, g)[kept]) ** 2).ravel()
+        for g in ("offsets", "features", "scalings")
+    ]
+    mse = float(np.concatenate(errs).mean())
+    return 8 * len(blob), cont.section_bits(blob)["P"], mse
 
 
 @main.command()
@@ -285,8 +256,8 @@ def sweep(axis, values, input_path, synthetic, seed, qp, qo, qa, qs, preset):
 
 @main.command()
 @click.option("--steps", type=int, default=500)
-@click.option("--warmup", type=int, default=100)
-@click.option("--anchors", type=int, default=256)
+@click.option("--warmup", type=click.IntRange(min=0), default=100)
+@click.option("--anchors", type=click.IntRange(min=1), default=256)
 @click.option("--lambda1", type=float, default=0.2)
 @click.option("--lambda2", type=float, default=0.8)
 @click.option("--lambda3", type=float, default=1e-4)

@@ -12,6 +12,12 @@ Section offsets are relative to the end of the header; the sections tile the
 region between header and blob exactly, so header length + section lengths +
 blob length always equals the file length.
 
+The container is the one source of size facts: section_bits reads each
+section's size from the header alone, and analyze_container takes each
+attribute channel's size from the decoder's parse. Nothing is re-encoded to
+measure it, so a container that decodes but is not canonical reports the
+bytes it holds.
+
 Anchor text file format (one value per whitespace-separated column):
 
     voxgs-anchors 1
@@ -41,10 +47,10 @@ from .model import (
     QuantParams,
     validate,
 )
-from .quantize import check_int32, dequantize_features, quantize_features, quantize_positions
+from .quantize import check_int32, dequantize_features, quantize_features, voxelize
 from .rlc import (
     MAX_ELEMENTS,
-    decode_attributes,
+    decode_groups,
     encode_attributes,
     read_varints,
     rlc_decode,
@@ -55,46 +61,28 @@ from .rlc import (
 MAGIC = b"VXGS"
 VERSION = 1
 
-_SECTION_ORDER = ("geometry", "offsets", "features", "scalings")
+# Sections in file order, then the MLP blob, keyed as RateReport.actual_bits.
+_SECTIONS = {"P": "geometry", "O": "offsets", "A": "features", "S": "scalings", "MLP": "mlp"}
+_SECTION_ORDER = tuple(_SECTIONS.values())[:-1]
 
 
 def _varint_bytes(*values) -> bytes:
     return varint_pack(np.asarray(values, dtype=np.uint64))
 
 
-class _Cursor:
-    """Bounds-checked reader for header parsing."""
+def quantize_cloud_kept(fcloud: FloatAnchorCloud, quant: QuantParams):
+    """quantize_cloud plus the input row index of the anchor kept on each voxel.
 
-    def __init__(self, data: bytes):
-        self.data = data
-        self.pos = 0
-
-    def take(self, n: int) -> bytes:
-        if self.pos + n > len(self.data):
-            raise CorruptStreamError("truncated header")
-        out = self.data[self.pos : self.pos + n]
-        self.pos += n
-        return out
-
-    def varints(self, count: int) -> list:
-        values, self.pos = read_varints(self.data, self.pos, count)
-        return values
-
-
-def quantize_cloud(fcloud: FloatAnchorCloud, quant: QuantParams) -> AnchorCloud:
-    """Voxelize positions (first-wins duplicate removal) and quantize attributes."""
-    voxels, dup_map = quantize_positions(fcloud.positions, quant.q_p, fcloud.bbox)
-    n_vox = voxels.shape[0]
-    # Keep the first input anchor that landed on each voxel.
-    first = np.full(n_vox, fcloud.anchor_count, dtype=np.int64)
-    np.minimum.at(first, dup_map, np.arange(fcloud.anchor_count))
+    Returns (cloud, kept); row i of the cloud comes from input row kept[i].
+    """
+    voxels, kept, _ = voxelize(fcloud.positions, quant.q_p, fcloud.bbox)
     rows = {
         name: check_int32(
-            quantize_features(getattr(fcloud, name)[first], quant.scale_for(name)), name
+            quantize_features(getattr(fcloud, name)[kept], quant.scale_for(name)), name
         )
         for name in GROUPS
     }
-    return AnchorCloud(
+    cloud = AnchorCloud(
         positions=voxels,
         offsets=rows["offsets"],
         features=rows["features"],
@@ -104,6 +92,12 @@ def quantize_cloud(fcloud: FloatAnchorCloud, quant: QuantParams) -> AnchorCloud:
         bbox=fcloud.bbox,
         mlp_blob=fcloud.mlp_blob,
     )
+    return cloud, kept
+
+
+def quantize_cloud(fcloud: FloatAnchorCloud, quant: QuantParams) -> AnchorCloud:
+    """Voxelize positions (first-wins duplicate removal) and quantize attributes."""
+    return quantize_cloud_kept(fcloud, quant)[0]
 
 
 def dequantize_cloud(cloud: AnchorCloud) -> FloatAnchorCloud:
@@ -134,63 +128,62 @@ def encode_container(cloud: AnchorCloud) -> bytes:
     payloads, _bits = encode_attributes(cloud)
 
     sections = [geometry, payloads["offsets"], payloads["features"], payloads["scalings"]]
-    table = []
-    offset = 0
-    for sec in sections:
-        table.extend((offset, len(sec)))
-        offset += len(sec)
+    lengths = [len(sec) for sec in sections]
+    table = np.column_stack([np.cumsum([0] + lengths[:-1]), lengths]).ravel()
 
     q = cloud.quant
-    header = bytearray()
-    header += MAGIC
-    header += bytes([VERSION])
-    header += _varint_bytes(cloud.anchor_count, q.q_p)
-    for frac in (q.q_o, q.q_a, q.q_s):
-        header += _varint_bytes(frac.numerator, frac.denominator)
-    header += _varint_bytes(cloud.layout.k, cloud.layout.m)
-    header += struct.pack("<6d", *cloud.bbox.ravel())
-    header += _varint_bytes(len(cloud.mlp_blob))
-    header += _varint_bytes(*table)
-    return bytes(header) + b"".join(sections) + cloud.mlp_blob
+    fractions = [v for frac in (q.q_o, q.q_a, q.q_s) for v in (frac.numerator, frac.denominator)]
+    header = (
+        MAGIC
+        + bytes([VERSION])
+        + _varint_bytes(cloud.anchor_count, q.q_p, *fractions, cloud.layout.k, cloud.layout.m)
+        + struct.pack("<6d", *cloud.bbox.ravel())
+        + _varint_bytes(len(cloud.mlp_blob), *table)
+    )
+    return header + b"".join(sections) + cloud.mlp_blob
 
 
-def decode_container(data: bytes) -> AnchorCloud:
-    """Parse and fully verify a container; returns the cloud in Morton order."""
-    cur = _Cursor(bytes(data))
-    if cur.take(4) != MAGIC:
+def _parse_header(data: bytes):
+    """Parse and check a container's header and section table.
+
+    Returns (anchor_count, quant, layout, bbox, sections): sections maps each
+    name of _SECTIONS to its zero-copy slice of the data.
+    """
+    data = bytes(data)
+    if len(data) < len(MAGIC) + 1:
+        raise CorruptStreamError("truncated header")
+    if data[:4] != MAGIC:
         raise CorruptStreamError("bad magic")
-    version = cur.take(1)[0]
-    if version != VERSION:
-        raise CorruptStreamError(f"unsupported version {version}")
+    if data[4] != VERSION:
+        raise CorruptStreamError(f"unsupported version {data[4]}")
 
-    anchor_count, q_p, *fractions, k, m = cur.varints(10)
+    (anchor_count, q_p, *fractions, k, m), pos = read_varints(data, 5, 10)
     scales = []
     for name, num, den in zip(("q_o", "q_a", "q_s"), fractions[0::2], fractions[1::2]):
         if num == 0 or den == 0:
             raise CorruptStreamError(f"{name} must be a positive rational")
         scales.append(Fraction(num, den))
-    bbox = np.array(struct.unpack("<6d", cur.take(48))).reshape(2, 3)
+    if pos + 48 > len(data):
+        raise CorruptStreamError("truncated header")
+    bbox = np.array(struct.unpack_from("<6d", data, pos)).reshape(2, 3)
     if not np.all(np.isfinite(bbox)):
         raise CorruptStreamError("non-finite bounding box")
-    blob_len, *spans = cur.varints(1 + 2 * len(_SECTION_ORDER))
-    table = list(zip(spans[0::2], spans[1::2]))
-    header_len = cur.pos
+    (blob_len, *spans), header_len = read_varints(data, pos + 48, 1 + 2 * len(_SECTION_ORDER))
 
     if anchor_count > MAX_ELEMENTS:
         raise CorruptStreamError(f"implausible anchor count {anchor_count}")
-    if k <= 0 or m <= 0 or k > 2**16 or m > 2**16:
-        raise CorruptStreamError(f"implausible layout k={k} m={m}")
-    if anchor_count * (3 * k + m + 6) > MAX_ELEMENTS:
-        raise CorruptStreamError("attribute volume exceeds decoder limit")
     try:
+        layout = AttributeLayout(k=k, m=m)
         quant = QuantParams(q_p=q_p, q_o=scales[0], q_a=scales[1], q_s=scales[2])
     except ValueError as exc:
         raise CorruptStreamError(str(exc)) from exc
+    if anchor_count * layout.total_dims > MAX_ELEMENTS:
+        raise CorruptStreamError("attribute volume exceeds decoder limit")
 
-    body = cur.data[header_len:]
+    body = memoryview(data)[header_len:]
     expected = 0
     sections = {}
-    for name, (off, length) in zip(_SECTION_ORDER, table):
+    for name, off, length in zip(_SECTION_ORDER, spans[0::2], spans[1::2]):
         if off != expected:
             raise CorruptStreamError(f"section {name} offset {off}, expected {expected}")
         if off + length > len(body):
@@ -202,9 +195,24 @@ def decode_container(data: bytes) -> AnchorCloud:
             f"file length mismatch: header {header_len} + sections {expected} "
             f"+ blob {blob_len} != {len(data)}"
         )
-    mlp_blob = body[expected:]
+    sections["mlp"] = body[expected:]
+    return anchor_count, quant, layout, bbox, sections
 
-    occupancy = rlc_decode(sections["geometry"], max_elements=MAX_ELEMENTS)
+
+def section_bits(data: bytes) -> dict:
+    """Bits of each section (keys P, O, A, S, MLP), read from the header alone."""
+    sections = _parse_header(data)[-1]
+    return {key: 8 * len(sections[name]) for key, name in _SECTIONS.items()}
+
+
+def _decode(data: bytes):
+    """decode_container plus each attribute channel's byte length, by group."""
+    anchor_count, quant, layout, bbox, sections = _parse_header(data)
+
+    # Each internal node has one occupancy byte, and none of the depth
+    # levels holds more nodes than the anchor_count leaves.
+    max_nodes = min(anchor_count * quant.depth, MAX_ELEMENTS)
+    occupancy = rlc_decode(sections["geometry"], max_elements=max_nodes)
     if occupancy.size and (occupancy.min() < 0 or occupancy.max() > 255):
         raise CorruptStreamError("occupancy byte out of range")
     positions = octree_decode(
@@ -214,54 +222,52 @@ def decode_container(data: bytes) -> AnchorCloud:
             point_count=anchor_count,
         )
     )
-    if positions.size and positions.max() >= q_p:
+    if positions.size and positions.max() >= quant.q_p:
         raise CorruptStreamError("decoded voxel outside the q_p grid")
 
-    layout = AttributeLayout(k=k, m=m)
-    offsets, features, scalings = decode_attributes(
-        {name: sections[name] for name in GROUPS}, layout, anchor_count
-    )
-    return AnchorCloud(
+    groups, channel_bytes = decode_groups(sections, layout, anchor_count)
+    cloud = AnchorCloud(
         positions=positions,
-        offsets=offsets,
-        features=features,
-        scalings=scalings,
+        offsets=groups["offsets"],
+        features=groups["features"],
+        scalings=groups["scalings"],
         layout=layout,
         quant=quant,
         bbox=bbox,
-        mlp_blob=mlp_blob,
+        mlp_blob=sections["mlp"],
     )
+    return cloud, channel_bytes
+
+
+def decode_container(data: bytes) -> AnchorCloud:
+    """Parse and fully verify a container; returns the cloud in Morton order."""
+    return _decode(data)[0]
 
 
 def analyze_container(data: bytes):
-    """Build a RateReport (actual vs Laplace-estimated bits) for a container."""
+    """Build a RateReport (actual vs Laplace-estimated bits) for a container.
+
+    Actual bits are the container's own sizes: each section's length from
+    the header and each attribute channel's length from the decoder.
+    """
     from .rate import RateReport, estimate_bits, fit_laplace, pearson
 
-    cloud = decode_container(data)
-    payloads, actual_group_bits = encode_attributes(cloud)
-
-    octree = octree_encode(cloud.positions, cloud.quant.depth)
-    geometry_bits = 8 * len(
-        rlc_encode(np.frombuffer(octree.occupancy_bytes, dtype=np.uint8)).serialized
-    )
-
-    short = {"offsets": "O", "features": "A", "scalings": "S"}
-    actual = {"P": geometry_bits, "MLP": 8 * len(cloud.mlp_blob)}
+    cloud, channel_bytes = _decode(data)
+    actual = section_bits(data)
     estimated = {}
     channel_est = []
     channel_act = []
-    for name in GROUPS:
+    for key in ("O", "A", "S"):
+        name = _SECTIONS[key]
         mat = cloud.group(name)
-        actual[short[name]] = actual_group_bits[name]
         if mat.size == 0:
-            estimated[short[name]] = 0.0
+            estimated[key] = 0.0
             continue
-        model = fit_laplace(mat.ravel())
-        estimated[short[name]] = estimate_bits(model, mat.ravel())
+        estimated[key] = estimate_bits(fit_laplace(mat.ravel()), mat.ravel())
         for c in range(mat.shape[1]):
             col = mat[:, c]
             channel_est.append(estimate_bits(fit_laplace(col), col))
-            channel_act.append(rlc_encode(col).bits)
+        channel_act.extend(8 * channel_bytes[name])
 
     est_total = sum(estimated.values())
     alpha = (
@@ -347,18 +353,20 @@ def read_anchor_file(path) -> FloatAnchorCloud:
     except ValueError as exc:
         fail(idx, str(exc))
     width = 3 + layout.total_dims
-    # Every line after the header is a data row, so a declared count above
-    # the lines present is an error before it becomes an allocation.
-    present = sum(1 for line in lines[idx:] if line.strip())
-    if n > present:
-        fail(len(lines), f"expected {n} data rows, found {present}")
+    # Every line after the header is a data row, and a row of width values
+    # takes at least 2 * width - 1 characters, so a declared count above the
+    # rows present or a row too short for the header's width is an error
+    # before it becomes an allocation.
+    data_lines = [i for i in range(idx, len(lines)) if lines[i].strip()]
+    if n > len(data_lines):
+        fail(len(lines), f"expected {n} data rows, found {len(data_lines)}")
+    for lineno in data_lines[:n]:
+        if len(lines[lineno]) < 2 * width - 1:
+            fail(lineno + 1, f"expected {width} columns, got {len(lines[lineno].split())}")
 
     rows = np.zeros((n, width))
-    row = 0
-    for lineno in range(idx, len(lines)):
+    for row, lineno in enumerate(data_lines):
         parts = lines[lineno].split()
-        if not parts:
-            continue
         if row >= n:
             fail(lineno + 1, f"more than {n} data rows")
         if len(parts) != width:
@@ -370,9 +378,6 @@ def read_anchor_file(path) -> FloatAnchorCloud:
         if not np.all(np.isfinite(values)):
             fail(lineno + 1, "non-finite value in row")
         rows[row] = values
-        row += 1
-    if row != n:
-        fail(len(lines), f"expected {n} data rows, found {row}")
 
     bbox = np.array(header["bbox"]).reshape(2, 3)
     if np.any(bbox[1] <= bbox[0]):
@@ -397,6 +402,23 @@ def repeat_probability(run_bias: float) -> float:
     # estimator-vs-RLC efficiency ratio stays in a regime where a single alpha
     # fits the whole corpus, while run_bias=1 still pins channels constant.
     return 0.6 + 0.4 * float(run_bias)
+
+
+def markov_channels(rng, n: int, dims: int, fresh, repeat_prob: float) -> np.ndarray:
+    """(n, dims) matrix of repeat-or-redraw chains, drawn one column at a time.
+
+    Each column draws fresh(n), then each element after the first repeats
+    its predecessor with probability repeat_prob.
+    """
+    columns = []
+    for _ in range(dims):
+        values = fresh(n)
+        keep = rng.random(n) < repeat_prob
+        keep[:1] = False
+        idx = np.where(keep, 0, np.arange(n))
+        np.maximum.accumulate(idx, out=idx)
+        columns.append(values[idx])
+    return np.column_stack(columns)
 
 
 def generate_synthetic(
@@ -429,20 +451,8 @@ def generate_synthetic(
         fine = np.clip((positions * MAX_GRID).astype(np.int64), 0, MAX_GRID - 1)
         positions = positions[np.argsort(morton_encode(fine), kind="stable")]
 
-    def channel(n, fresh):
-        values = fresh(n)
-        if n == 0:
-            return values
-        keep = rng.random(n) < rho
-        keep[0] = False
-        idx = np.where(keep, 0, np.arange(n))
-        np.maximum.accumulate(idx, out=idx)
-        return values[idx]
-
     def group(dims, fresh):
-        if anchors == 0:
-            return np.zeros((0, dims))
-        return np.column_stack([channel(anchors, fresh) for _ in range(dims)])
+        return markov_channels(rng, anchors, dims, fresh, rho)
 
     offsets = group(
         layout.offset_dims,

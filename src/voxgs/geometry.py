@@ -153,6 +153,12 @@ def octree_decode(payload: OctreePayload) -> np.ndarray:
         bits = np.unpackbits(occ[:, None], axis=1, bitorder="little").astype(bool)
         children = (nodes[:, None] << _U(3)) + np.arange(8, dtype=np.uint64)[None, :]
         nodes = children[bits]
+        # Levels never shrink, so a level above point_count cannot end there;
+        # failing here keeps each level's allocation within 8 * point_count.
+        if nodes.size > payload.point_count:
+            raise CorruptStreamError(
+                f"octree level holds {nodes.size} nodes, header says {payload.point_count}"
+            )
     if pos != buf.size:
         raise CorruptStreamError("trailing bytes in octree payload")
     if nodes.size != payload.point_count:

@@ -14,6 +14,8 @@ MAX_GRID_BITS = 21
 MAX_GRID = 1 << MAX_GRID_BITS
 
 SCALING_DIMS = 6
+# Upper bound on k and m; it keeps any declared layout's row width bounded.
+MAX_LAYOUT_DIM = 1 << 16
 
 GROUPS = ("offsets", "features", "scalings")
 
@@ -66,6 +68,8 @@ class AttributeLayout:
     def __post_init__(self):
         if self.k <= 0 or self.m <= 0:
             raise ValueError("k and m must be positive")
+        if self.k > MAX_LAYOUT_DIM or self.m > MAX_LAYOUT_DIM:
+            raise ValueError(f"k and m must not exceed {MAX_LAYOUT_DIM}")
 
     @property
     def offset_dims(self) -> int:

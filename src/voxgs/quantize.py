@@ -66,15 +66,16 @@ def check_int32(values: np.ndarray, what: str = "attribute") -> np.ndarray:
     return values.astype(np.int32)
 
 
-def quantize_positions(points, q_p: int, bbox):
+def voxelize(points, q_p: int, bbox):
     """Voxelize world positions onto the [0, q_p)^3 grid and drop duplicates.
 
     Coordinates are normalized through the bounding box, rounded, and
     clamped to the half-open grid (the bbox max corner lands on q_p - 1).
 
-    Returns (voxels, dup_map): voxels is the duplicate-free (m, 3) int64
-    grid array keeping the first occurrence of each voxel in input order,
-    and dup_map maps every input index to its surviving voxel row.
+    Returns (voxels, kept, dup_map): voxels is the duplicate-free (m, 3)
+    int64 grid array keeping the first occurrence of each voxel in input
+    order, kept holds the input index of that first occurrence for each
+    voxel row, and dup_map maps every input index to its surviving voxel row.
     """
     if q_p <= 0:
         raise ValueError("q_p must be positive")
@@ -97,7 +98,7 @@ def quantize_positions(points, q_p: int, bbox):
     np.clip(grid, 0, q_p - 1, out=grid)
 
     if grid.shape[0] == 0:
-        return grid, np.zeros(0, dtype=np.int64)
+        return grid, np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
 
     uniq, first_idx, inverse = np.unique(
         grid, axis=0, return_index=True, return_inverse=True
@@ -106,4 +107,10 @@ def quantize_positions(points, q_p: int, bbox):
     order = np.argsort(first_idx, kind="stable")
     rank = np.empty_like(order)
     rank[order] = np.arange(order.size)
-    return uniq[order], rank[inverse.ravel()]
+    return uniq[order], first_idx[order], rank[inverse.ravel()]
+
+
+def quantize_positions(points, q_p: int, bbox):
+    """voxelize without the kept rows: returns (voxels, dup_map)."""
+    voxels, _, dup_map = voxelize(points, q_p, bbox)
+    return voxels, dup_map

@@ -138,11 +138,6 @@ def rate_loss(offsets, features, scalings) -> float:
     return total
 
 
-def actual_rlc_bits(values) -> int:
-    """Bits the bypass run-length coder spends on the sequence."""
-    return rlc_encode(np.asarray(values, dtype=np.int64)).bits
-
-
 def pearson(xs, ys):
     x = np.asarray(xs, dtype=np.float64)
     y = np.asarray(ys, dtype=np.float64)
@@ -179,7 +174,7 @@ def calibrate_alpha(corpus) -> CalibrationResult:
         if arr.size == 0:
             raise ValueError("calibration corpus contains an empty sequence")
         est.append(estimate_bits(fit_laplace(arr), arr))
-        act.append(actual_rlc_bits(arr))
+        act.append(rlc_encode(arr).bits)
     est = np.asarray(est)
     act = np.asarray(act, dtype=np.float64)
     if est.sum() == 0.0:
@@ -192,6 +187,12 @@ def calibrate_alpha(corpus) -> CalibrationResult:
             alpha=alpha,
         )
     return CalibrationResult(alpha=alpha, correlation=corr, estimated_bits=est, actual_bits=act)
+
+
+def bit_shares(bits: dict) -> dict:
+    """Each component's percentage of the total bits (all 0 when the total is 0)."""
+    total = sum(bits.values())
+    return {key: (100.0 * b / total if total else 0.0) for key, b in bits.items()}
 
 
 @dataclass
@@ -207,11 +208,7 @@ class RateReport:
 
     def __post_init__(self):
         if not self.percentages:
-            total = sum(self.actual_bits.values())
-            self.percentages = {
-                key: (100.0 * bits / total if total else 0.0)
-                for key, bits in self.actual_bits.items()
-            }
+            self.percentages = bit_shares(self.actual_bits)
 
     @property
     def total_bits(self) -> int:

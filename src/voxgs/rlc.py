@@ -11,8 +11,14 @@ The whole group is coded in one pass: it is flattened channel-major with a
 run break forced at every channel start, tokenized at once and packed with
 one varint_pack call; decoding unpacks the group once and expands it with
 one repeat. A single channel (rlc_encode, rlc_decode) is the one-channel
-case of the same kernels, and varint_pack, varint_unpack_all and
-read_varints hold the only LEB128 writer and decoding rule of the codec.
+case of the same kernels, and varint_pack and _varint_unpack hold the only
+LEB128 writer and decoding rule of the codec.
+
+The decoder also reports each channel's serialized byte length, read from
+the varint boundaries it parses anyway (decode_groups). Those are the bytes
+actually in the stream: a stream that decodes but is not canonical, such as
+one run split into two equal-valued runs or an overlong varint, counts as
+the bytes it holds, not as the size its re-encoding would have.
 """
 
 from __future__ import annotations
@@ -74,11 +80,14 @@ def varint_pack(values: np.ndarray) -> bytes:
     return out.tobytes()
 
 
-def varint_unpack_all(data: bytes) -> np.ndarray:
-    """Parse every varint in the buffer; raises on truncation or overlength."""
+def _varint_unpack(data):
+    """Parse every varint in the buffer; raises on truncation or overlength.
+
+    Returns (values, ends): ends holds the index of each varint's last byte.
+    """
     buf = np.frombuffer(data, dtype=np.uint8)
     if buf.size == 0:
-        return np.zeros(0, dtype=np.uint64)
+        return np.zeros(0, dtype=np.uint64), np.zeros(0, dtype=np.int64)
     cont = buf >= 0x80
     if cont[-1]:
         raise CorruptStreamError("truncated varint at end of stream")
@@ -93,7 +102,12 @@ def varint_unpack_all(data: bytes) -> np.ndarray:
     for j in range(1, width):
         idx = idx[lengths[idx] > j]
         values[idx] |= (buf[starts[idx] + j] & 0x7F).astype(np.uint64) << np.uint64(7 * j)
-    return values
+    return values, ends
+
+
+def varint_unpack_all(data: bytes) -> np.ndarray:
+    """Parse every varint in the buffer; raises on truncation or overlength."""
+    return _varint_unpack(data)[0]
 
 
 def read_varints(data: bytes, pos: int, count: int):
@@ -175,15 +189,18 @@ def rlc_encode(values) -> RlcStream:
     return RlcStream(values=token_values, run_lengths=runs, serialized=serialized)
 
 
-def _decode_channels(varints: np.ndarray, dims: int, max_elements: int):
-    """Decode dims consecutive channel streams from the start of a varint array.
+def _decode_channels(data, dims: int, max_elements: int):
+    """Decode dims consecutive channel streams from the start of a byte buffer.
 
-    Run sums come from one prefix sum per slot parity over the whole array.
+    Run sums come from one prefix sum per slot parity over the whole group.
     A channel's end is then a binary search within its own window of
     2 * count slots, so no channel scans the slots of the channels after it.
     Returns (the channels' elements concatenated, each channel's element
-    count, index of the first varint after the last channel).
+    count, each channel's byte length). The byte lengths are taken from the
+    varint boundaries of the parse; they sum to len(data) exactly when no
+    bytes follow the last channel.
     """
+    varints, ends = _varint_unpack(data)
     # Clipping keeps the prefix sums from wrapping; a clipped run still
     # overshoots any count the caller accepts.
     clipped = np.minimum(varints, max_elements + 1).astype(np.int64)
@@ -211,23 +228,26 @@ def _decode_channels(varints: np.ndarray, dims: int, max_elements: int):
         firsts.append(first)
         tokens.append(t)
     tokens = np.asarray(tokens, dtype=np.int64)
+    firsts = np.asarray(firsts, dtype=np.int64)
     before = np.cumsum(tokens) - tokens
-    run_slots = np.repeat(np.asarray(firsts) - 2 * before, tokens) + 2 * np.arange(tokens.sum())
+    run_slots = np.repeat(firsts - 2 * before, tokens) + 2 * np.arange(tokens.sum())
     runs = varints[run_slots].astype(np.int64)
     if np.any(runs < 1):
         raise CorruptStreamError("run length of zero")
-    return np.repeat(zigzag_decode(varints[run_slots + 1]), runs), counts, cursor
+    # A channel's bytes end with the last byte of its last varint.
+    nbytes = np.diff(ends[firsts + 2 * tokens - 1] + 1, prepend=0)
+    return np.repeat(zigzag_decode(varints[run_slots + 1]), runs), counts, nbytes
 
 
 def rlc_decode(data, max_elements: int = MAX_ELEMENTS) -> np.ndarray:
     """Decode a single serialized channel stream back to the exact sequence."""
     if isinstance(data, RlcStream):
         data = data.serialized
-    varints = varint_unpack_all(bytes(data))
-    if varints.size == 0:
+    data = bytes(data)
+    if not data:
         raise CorruptStreamError("empty stream")
-    decoded, _, end = _decode_channels(varints, 1, max_elements)
-    if end != varints.size:
+    decoded, _, nbytes = _decode_channels(data, 1, max_elements)
+    if nbytes[0] != len(data):
         raise CorruptStreamError("trailing bytes after stream")
     return decoded
 
@@ -251,26 +271,37 @@ def encode_attributes(cloud: AnchorCloud):
     return payloads, bits
 
 
-def decode_attributes(payloads, layout: AttributeLayout, anchor_count: int):
-    """Invert encode_attributes; returns (offsets, features, scalings) int32 matrices.
+def decode_groups(payloads, layout: AttributeLayout, anchor_count: int):
+    """Decode the attribute groups and measure their channel streams.
 
     Each group is parsed with one varint pass and expanded with one repeat.
+    Returns (matrices, channel_bytes), dicts keyed by group name: the
+    (anchor_count, dims) int32 matrix, and each channel's serialized byte
+    length as found in the payload.
     """
     if anchor_count < 0 or anchor_count > MAX_ELEMENTS:
         raise CorruptStreamError(f"implausible anchor count {anchor_count}")
-    out = {}
+    matrices = {}
+    channel_bytes = {}
     for name in GROUPS:
         dims = layout.dims_for(name)
-        varints = varint_unpack_all(bytes(payloads[name]))
-        flat, counts, end = _decode_channels(varints, dims, anchor_count)
+        payload = payloads[name]
+        flat, counts, nbytes = _decode_channels(payload, dims, anchor_count)
         for c, count in enumerate(counts):
             if count != anchor_count:
                 raise CorruptStreamError(
                     f"{name} channel {c} decodes {count} elements, expected {anchor_count}"
                 )
-        if end != varints.size:
+        if nbytes.sum() != len(payload):
             raise CorruptStreamError(f"trailing bytes after {name} channels")
         if flat.size and (flat.min() < -(2**31) or flat.max() > 2**31 - 1):
             raise CorruptStreamError(f"{name} values overflow int32")
-        out[name] = np.ascontiguousarray(flat.reshape(dims, anchor_count).T, dtype=np.int32)
-    return out["offsets"], out["features"], out["scalings"]
+        matrices[name] = np.ascontiguousarray(flat.reshape(dims, anchor_count).T, dtype=np.int32)
+        channel_bytes[name] = nbytes
+    return matrices, channel_bytes
+
+
+def decode_attributes(payloads, layout: AttributeLayout, anchor_count: int):
+    """Invert encode_attributes; returns (offsets, features, scalings) int32 matrices."""
+    matrices, _ = decode_groups(payloads, layout, anchor_count)
+    return matrices["offsets"], matrices["features"], matrices["scalings"]

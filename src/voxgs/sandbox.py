@@ -23,7 +23,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .geometry import sort_by_morton
+from .container import markov_channels
+from .geometry import morton_encode, sort_by_morton
 from .model import GROUPS, AnchorCloud, AttributeLayout, QuantParams
 from .quantize import check_int32, ste_round
 from .rate import B_MIN, fit_laplace, nll_bits, nll_bits_and_grads
@@ -122,10 +123,9 @@ def _rate_grads(z: np.ndarray, backprop_fit: bool):
     """Total estimated bits of z and its gradient, including the model fit path."""
     flat = z.ravel()
     n = flat.size
-    mu = float(flat.mean())
-    sigma = float(flat.std())
-    b = max(sigma / _SQRT2, B_MIN)
-    f, df_dx, df_dmu, df_db = nll_bits_and_grads(flat, mu, b)
+    model = fit_laplace(flat)
+    mu, sigma = model.mu, model.sigma
+    f, df_dx, df_dmu, df_db = nll_bits_and_grads(flat, mu, model.b)
     grad = df_dx.copy()
     if backprop_fit:
         grad += df_dmu.sum() / n
@@ -143,7 +143,6 @@ def step(
     """One gradient-descent update; mutates scene.params in place."""
     dims_total = scene.layout.total_dims
     l1_sum = 0.0
-    l2_sum = 0.0
     sq_sum = 0.0
     elem_total = 0
     est_total = 0.0
@@ -163,7 +162,6 @@ def step(
 
         d = v - t
         l1_sum += float(np.abs(d).sum())
-        l2_sum += float((d * d).sum())
         sq_sum += float((d * d).sum())
         elem_total += d.size
 
@@ -186,12 +184,12 @@ def step(
 
     total = (
         scene.lambda1 * l1_sum / dims_total
-        + scene.lambda2 * l2_sum / dims_total
+        + scene.lambda2 * sq_sum / dims_total
         + scene.lambda3 * (est_total if include_rate else 0.0)
     )
     if not math.isfinite(total):
         raise FloatingPointError(
-            f"non-finite loss (l1={l1_sum}, l2={l2_sum}, est_bits={est_total})"
+            f"non-finite loss (l1={l1_sum}, l2={sq_sum}, est_bits={est_total})"
         )
 
     for name in GROUPS:
@@ -199,7 +197,7 @@ def step(
 
     return LossBreakdown(
         l1=l1_sum / dims_total,
-        l2=l2_sum / dims_total,
+        l2=sq_sum / dims_total,
         mse=sq_sum / max(elem_total, 1),
         rate_loss=rate_loss_total,
         est_bits=est_total,
@@ -238,24 +236,12 @@ def run(
     return trace
 
 
-def _fresh_with_margin(rng, count, draw, scale, margin=0.03):
+def _fresh_with_margin(count, draw, scale, margin=0.03):
     """Draw target values whose scaled fraction keeps clear of rounding boundaries."""
-    raw = draw(count) * scale
-    z = raw
+    z = draw(count) * scale
     frac = z - np.round(z)
     frac = np.clip(frac, -0.5 + margin + 0.02, 0.5 - margin - 0.02)
     return (np.round(z) + frac) / scale
-
-
-def _markov_channel(rng, n, fresh, repeat_prob):
-    """Length-n sequence where each element repeats its predecessor with given probability."""
-    values = fresh(n)
-    keep = rng.random(n) < repeat_prob
-    keep[0] = False
-    idx = np.arange(n)
-    idx[keep] = 0
-    np.maximum.accumulate(np.where(keep, 0, idx), out=idx)
-    return values[idx]
 
 
 def make_scene(
@@ -292,13 +278,9 @@ def make_scene(
         extra = rng.integers(0, q_p, size=(anchors, 3), dtype=np.int64)
         pos = np.unique(np.vstack([pos, extra]), axis=0)
     pos = pos[rng.permutation(pos.shape[0])[:anchors]]
-    from .geometry import morton_encode
-
     pos = pos[np.argsort(morton_encode(pos))]
 
-    qo = float(Fraction(q_o))
-    qa = float(Fraction(q_a))
-    qs = float(Fraction(q_s))
+    qo, qa, qs = (float(quant.scale_for(name)) for name in GROUPS)
 
     # Offsets: zeros, boundary-straddlers, and a thin integer Laplace tail.
     n_off = anchors * layout.offset_dims
@@ -312,25 +294,15 @@ def make_scene(
     off[tail] = np.clip(tail_z, -3, 3) / qo
     offsets_t = off.reshape(anchors, layout.offset_dims)
 
-    # Features: per-channel Morton-correlated Gaussians, off-boundary fractions.
-    feats = np.empty((anchors, m))
-    for c in range(m):
-        feats[:, c] = _markov_channel(
-            rng,
-            anchors,
-            lambda count: _fresh_with_margin(rng, count, lambda s: rng.normal(0.0, 6.0, s), qa),
-            repeat_prob=0.8,
+    def chains(dims, draw, scale, repeat_prob):
+        return markov_channels(
+            rng, anchors, dims, lambda count: _fresh_with_margin(count, draw, scale), repeat_prob
         )
 
+    # Features: per-channel Morton-correlated Gaussians, off-boundary fractions.
+    feats = chains(m, lambda s: rng.normal(0.0, 6.0, s), qa, 0.8)
     # Scalings: narrow range, strongly correlated along Morton order.
-    scal = np.empty((anchors, 6))
-    for c in range(6):
-        scal[:, c] = _markov_channel(
-            rng,
-            anchors,
-            lambda count: _fresh_with_margin(rng, count, lambda s: rng.uniform(-2.0, 2.0, s), qs),
-            repeat_prob=0.9,
-        )
+    scal = chains(6, lambda s: rng.uniform(-2.0, 2.0, s), qs, 0.9)
 
     targets = {"offsets": offsets_t, "features": feats, "scalings": scal}
     params = {

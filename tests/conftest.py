@@ -1,5 +1,7 @@
 """Shared helpers: randomized cloud construction for property suites."""
 
+import struct
+
 import numpy as np
 
 from voxgs import AnchorCloud, AttributeLayout, QuantParams
@@ -47,4 +49,28 @@ def random_cloud(rng, n=None, depth=None, layout=None, mlp=None) -> AnchorCloud:
         quant=QuantParams(q_p=grid),
         bbox=np.array([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]]),
         mlp_blob=mlp,
+    )
+
+
+def assemble_container(anchor_count, q_p, k, m, sections, mlp=b"", scales=(1, 1, 1, 1, 8, 1)):
+    """Container bytes from raw header fields and the four section payloads.
+
+    Written from the documented layout, independently of the encoder, so a
+    test can build containers the encoder would never write.
+    """
+    from voxgs.rlc import varint_pack
+
+    table = []
+    offset = 0
+    for sec in sections:
+        table += [offset, len(sec)]
+        offset += len(sec)
+    return (
+        b"VXGS"
+        + bytes([1])
+        + varint_pack(np.array([anchor_count, q_p, *scales, k, m], dtype=np.uint64))
+        + struct.pack("<6d", 0.0, 0.0, 0.0, 1.0, 1.0, 1.0)
+        + varint_pack(np.array([len(mlp), *table], dtype=np.uint64))
+        + b"".join(sections)
+        + mlp
     )

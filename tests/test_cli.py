@@ -63,6 +63,16 @@ class TestEncode:
         assert "Traceback" not in result.output
         assert "expected 10000000000000 data rows, found 1" in result.output
 
+    @pytest.mark.parametrize("k", ["65537", "1000000000"])
+    def test_layout_beyond_bound_exit_2(self, runner, tmp_path, k):
+        bad = tmp_path / "wide.txt"
+        bad.write_text(f"voxgs-anchors 1\nanchors 1\nk {k}\nm 4\nbbox 0 0 0 1 1 1\n0.5\n")
+        result = runner.invoke(main, ["encode", str(bad), str(tmp_path / "o")])
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert "must not exceed" in result.output
+        assert not (tmp_path / "o").exists()
+
     def test_preset(self, runner, anchor_file, tmp_path):
         out = tmp_path / "p.vxgs"
         result = runner.invoke(
@@ -222,3 +232,12 @@ class TestSandbox:
     def test_warmup_validation(self, runner):
         result = runner.invoke(main, ["sandbox", "--steps", "10", "--warmup", "10"])
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize(
+        "args", [["--anchors", "0"], ["--anchors", "-5"], ["--warmup", "-1"]]
+    )
+    def test_out_of_range_options_exit_2(self, runner, args):
+        result = runner.invoke(main, ["sandbox", "--steps", "10", *args])
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert "Invalid value" in result.output

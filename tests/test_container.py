@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -12,10 +14,12 @@ from voxgs import (
     read_anchor_file,
     write_anchor_file,
 )
-from voxgs.container import MAGIC, analyze_container, repeat_probability
+from voxgs.container import MAGIC, analyze_container, quantize_cloud_kept, repeat_probability
 from voxgs.errors import AnchorFileError, CorruptStreamError
 from voxgs.geometry import sort_by_morton
-from tests.conftest import random_cloud
+from voxgs.quantize import quantize_positions
+from voxgs.rlc import rlc_encode
+from tests.conftest import assemble_container, random_cloud
 
 BOX = np.array([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]])
 
@@ -42,6 +46,18 @@ class TestQuantizeCloud:
         cloud = quantize_cloud(fcloud, QuantParams(q_p=16))
         assert cloud.anchor_count == 1
         assert cloud.features[0, 0] == 2  # first input row survives
+
+    def test_kept_rows_are_the_first_wins_map(self):
+        rng = np.random.default_rng(80)
+        for case in range(200):
+            fcloud = _float_cloud(seed=case, anchors=int(rng.integers(0, 80)))
+            q_p = int(rng.choice([1, 2, 4, 16, 256]))
+            cloud, kept = quantize_cloud_kept(fcloud, QuantParams(q_p=q_p))
+            _, dup = quantize_positions(fcloud.positions, q_p, fcloud.bbox)
+            first = np.full(cloud.anchor_count, fcloud.anchor_count, dtype=np.int64)
+            np.minimum.at(first, dup, np.arange(fcloud.anchor_count))
+            assert np.array_equal(kept, first)
+            assert cloud.equals(quantize_cloud(fcloud, QuantParams(q_p=q_p)))
 
     def test_round_trip_attributes(self):
         fcloud = _float_cloud(seed=1)
@@ -133,6 +149,27 @@ class TestDecodeErrors:
     def test_magic_constant(self):
         assert self._blob()[:4] == MAGIC == b"VXGS"
 
+    def test_layout_beyond_bound_is_corrupt(self):
+        sections = [rlc_encode([]).serialized] * 4
+        with pytest.raises(CorruptStreamError, match="must not exceed"):
+            decode_container(assemble_container(0, 64, 2**16 + 1, 1, sections))
+
+    def test_hostile_geometry_run_rejected_with_small_peak(self):
+        # One anchor on a 2^21 grid, but a geometry section that is one run of
+        # 299,593 occupancy bytes 0xFF: seven full octree levels.
+        geometry = rlc_encode(np.full(299_593, 255)).serialized
+        attributes = [rlc_encode([0]).serialized * dims for dims in (3, 1, 6)]
+        data = assemble_container(1, 2**21, 1, 1, [geometry, *attributes])
+        assert len(data) < 120
+        tracemalloc.start()
+        try:
+            with pytest.raises(CorruptStreamError):
+                decode_container(data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
     def test_fuzz_random_bytes(self):
         rng = np.random.default_rng(77)
         for _ in range(1000):
@@ -197,6 +234,28 @@ class TestAnchorFile:
             read_anchor_file(path)
         assert "columns" in str(exc_info.value)
         assert exc_info.value.line == 6
+
+    def test_layout_beyond_bound_rejected(self, tmp_path):
+        path = tmp_path / "wide.txt"
+        path.write_text("voxgs-anchors 1\nanchors 1\nk 1000000000\nm 2\nbbox 0 0 0 1 1 1\n0.5\n")
+        with pytest.raises(AnchorFileError, match="must not exceed"):
+            read_anchor_file(path)
+
+    def test_short_rows_under_wide_header_rejected_before_allocation(self, tmp_path):
+        # 1000 one-value rows under a header of 60000 * 3 + 1 + 9 columns.
+        path = tmp_path / "short_rows.txt"
+        path.write_text(
+            "voxgs-anchors 1\nanchors 1000\nk 60000\nm 1\nbbox 0 0 0 1 1 1\n" + "0.5\n" * 1000
+        )
+        tracemalloc.start()
+        try:
+            with pytest.raises(AnchorFileError, match="columns") as exc_info:
+                read_anchor_file(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert exc_info.value.line == 6
+        assert peak < 1 << 20
 
     def test_missing_signature(self, tmp_path):
         path = tmp_path / "sig.txt"

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -155,6 +157,18 @@ def pointer_octree_node_count(points, depth):
 
 
 class TestOctree:
+    def test_level_beyond_point_count_rejected_with_small_peak(self):
+        # Seven full levels of 0xFF for one point: each level is 8x the last.
+        payload = OctreePayload(depth=21, occupancy_bytes=b"\xff" * 299_593, point_count=1)
+        tracemalloc.start()
+        try:
+            with pytest.raises(CorruptStreamError, match="level"):
+                octree_decode(payload)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
     def test_single_point_depth1(self):
         payload = octree_encode(np.array([[0, 0, 0]]), 1)
         assert payload.occupancy_bytes == b"\x01"

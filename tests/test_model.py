@@ -80,6 +80,12 @@ class TestAttributeLayout:
         with pytest.raises(ValueError):
             AttributeLayout(k=1, m=-1)
 
+    def test_bounded_above(self):
+        AttributeLayout(k=2**16, m=2**16)
+        for k, m in ((2**16 + 1, 1), (1, 2**16 + 1), (10**9, 50)):
+            with pytest.raises(ValueError, match="must not exceed"):
+                AttributeLayout(k=k, m=m)
+
 
 class TestAnchorCloud:
     def test_shape_enforcement(self):

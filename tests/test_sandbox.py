@@ -1,3 +1,4 @@
+import hashlib
 import math
 from fractions import Fraction
 
@@ -168,6 +169,23 @@ class TestRun:
             run(scene, steps=10, warmup=10)
         with pytest.raises(ValueError):
             run(scene, steps=10, warmup=-1)
+
+    @pytest.mark.parametrize(
+        "seed,anchors,k,m,digest",
+        [
+            (0, 256, 10, 50, "6809d6b2b7bc184f7e7b9ed870f5273c2fe503eb35d4bc5d242ac36b51c62097"),
+            (1, 64, 10, 50, "b9bfa4e2ba1660a3dbe3b4406662725f4227bcc6e146732e1a2c31690613c65e"),
+            (2, 1, 10, 50, "7bfb6bed5a38055101d5d0e5dfc633e814c48837a32f58b354f4e7c7c51cb63c"),
+            (3, 1000, 2, 8, "d3c9eea0016c6b839a1373553f0ab32d19bfd208cd05b431531cf8ff99bf6354"),
+        ],
+    )
+    def test_make_scene_pinned(self, seed, anchors, k, m, digest):
+        scene = make_scene(seed=seed, anchors=anchors, k=k, m=m)
+        h = hashlib.sha256(scene.positions.tobytes())
+        for tensors in (scene.targets, scene.params):
+            for name in GROUPS:
+                h.update(tensors[name].tobytes())
+        assert h.hexdigest() == digest
 
     def test_determinism(self):
         t1 = run(make_scene(seed=9, anchors=64), steps=60, warmup=20)
