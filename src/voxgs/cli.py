@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -26,6 +27,12 @@ PRESETS = {
 }
 
 
+def _fail(message):
+    """Report a usage or input error on stderr and exit 2."""
+    click.echo(f"error: {message}", err=True)
+    sys.exit(EXIT_INPUT)
+
+
 def _fraction(_ctx, param, value):
     if value is None:
         return None
@@ -36,6 +43,12 @@ def _fraction(_ctx, param, value):
     if frac <= 0:
         raise click.BadParameter("quant scale must be positive")
     return frac
+
+
+def _finite(_ctx, param, value):
+    if not math.isfinite(value):
+        raise click.BadParameter(f"{param.name} must be finite")
+    return value
 
 
 def _thread_cap() -> int:
@@ -49,15 +62,16 @@ def _thread_cap() -> int:
 
 
 def _atomic_write(path, write):
-    """Call write(tmp) on a temporary sibling of path, then move it onto path."""
+    """write(tmp) a temporary sibling, move it onto path; an OSError exits 2, leaving no tmp."""
     tmp = f"{path}.tmp{os.getpid()}"
     try:
         write(tmp)
         os.replace(tmp, path)
-    except BaseException:
+    except OSError as exc:
+        _fail(f"cannot write {path}: {exc.strerror or exc}")
+    finally:
         if os.path.exists(tmp):
             os.unlink(tmp)
-        raise
 
 
 def _quant_from_options(preset, qp, qo, qa, qs) -> QuantParams:
@@ -100,8 +114,7 @@ def encode(input_path, output_path, qp, qo, qa, qs, preset):
         cloud = cont.quantize_cloud(fcloud, quant)
         blob = cont.encode_container(cloud)
     except (AnchorFileError, VoxgsError, ValueError) as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_INPUT)
+        _fail(exc)
     _atomic_write(output_path, lambda tmp: Path(tmp).write_bytes(blob))
 
     bits = cont.section_bits(blob)
@@ -183,17 +196,14 @@ def _corpus_sequences(corpus_dir, synthetic, seed):
 def calibrate(corpus_dir, synthetic, seed):
     """Fit alpha and report the estimate/actual correlation over a corpus."""
     if not corpus_dir and synthetic <= 0:
-        click.echo("error: provide --corpus DIR or --synthetic N", err=True)
-        sys.exit(EXIT_INPUT)
+        _fail("provide --corpus DIR or --synthetic N")
     try:
         sequences = _corpus_sequences(corpus_dir, synthetic, seed)
         result = calibrate_alpha(sequences)
     except CorrelationUndefinedError as exc:
-        click.echo(f"error: {exc} (alpha={exc.alpha:.4f})", err=True)
-        sys.exit(EXIT_INPUT)
+        _fail(f"{exc} (alpha={exc.alpha:.4f})")
     except (AnchorFileError, VoxgsError, ValueError) as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_INPUT)
+        _fail(exc)
     click.echo("estimated_bits,actual_bits")
     for est, act in zip(result.estimated_bits, result.actual_bits):
         click.echo(f"{est:.2f},{act:.0f}")
@@ -226,8 +236,7 @@ def _sweep_point(fcloud, quant: QuantParams):
 def sweep(axis, values, input_path, synthetic, seed, qp, qo, qa, qs, preset):
     """Encode the same scene across one quantization axis; CSV to stdout."""
     if not input_path and synthetic <= 0:
-        click.echo("error: provide --input FILE or --synthetic N", err=True)
-        sys.exit(EXIT_INPUT)
+        _fail("provide --input FILE or --synthetic N")
     try:
         base = _quant_from_options(preset, qp, qo, qa, qs)
         if input_path:
@@ -243,11 +252,13 @@ def sweep(axis, values, input_path, synthetic, seed, qp, qo, qa, qs, preset):
             fields[axis] = int(raw) if axis == "q_p" else Fraction(raw)
             points.append((raw, QuantParams(**fields)))
     except (AnchorFileError, ValueError, ZeroDivisionError) as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(EXIT_INPUT)
+        _fail(exc)
 
-    with ThreadPoolExecutor(max_workers=min(_thread_cap(), len(points))) as pool:
-        results = list(pool.map(lambda pq: _sweep_point(fcloud, pq[1]), points))
+    try:
+        with ThreadPoolExecutor(max_workers=min(_thread_cap(), len(points))) as pool:
+            results = list(pool.map(lambda pq: _sweep_point(fcloud, pq[1]), points))
+    except (VoxgsError, ValueError) as exc:
+        _fail(exc)
 
     click.echo(f"{axis},size_bits,geometry_bits,distortion_mse")
     for (raw, _), (size_bits, geom_bits, mse) in zip(points, results):
@@ -258,31 +269,30 @@ def sweep(axis, values, input_path, synthetic, seed, qp, qo, qa, qs, preset):
 @click.option("--steps", type=int, default=500)
 @click.option("--warmup", type=click.IntRange(min=0), default=100)
 @click.option("--anchors", type=click.IntRange(min=1), default=256)
-@click.option("--lambda1", type=float, default=0.2)
-@click.option("--lambda2", type=float, default=0.8)
-@click.option("--lambda3", type=float, default=1e-4)
-@click.option("--lr", type=float, default=1e-2)
+@click.option("--lambda1", type=float, callback=_finite, default=0.2)
+@click.option("--lambda2", type=float, callback=_finite, default=0.8)
+@click.option("--lambda3", type=float, callback=_finite, default=1e-4)
+@click.option("--lr", type=float, callback=_finite, default=1e-2)
 @click.option("--seed", type=int, default=0)
 @click.option("--out-prefix", type=click.Path(), default=None, help="Write trace CSVs here.")
 def sandbox(steps, warmup, anchors, lambda1, lambda2, lambda3, lr, seed, out_prefix):
     """Run the rate-constrained and unconstrained optimizations and compare."""
     if warmup >= steps:
-        click.echo("error: warmup must be smaller than steps", err=True)
-        sys.exit(EXIT_INPUT)
+        _fail("warmup must be smaller than steps")
 
-    traces = {}
     finals = {}
     for tag, lam3 in (("baseline", 0.0), ("rate", lambda3)):
         scene = make_scene(
             seed=seed, anchors=anchors, lambda1=lambda1, lambda2=lambda2, lambda3=lam3
         )
-        trace = run(scene, steps=steps, warmup=warmup, learning_rate=lr)
-        traces[tag] = trace
-        finals[tag] = (measure_rlc_bits(scene), trace.mse[-1])
+        try:
+            trace = run(scene, steps=steps, warmup=warmup, learning_rate=lr)
+            finals[tag] = (measure_rlc_bits(scene), trace.mse[-1])
+        except (ValueError, FloatingPointError) as exc:
+            _fail(f"{tag} run failed: {exc}")
         if out_prefix:
             path = f"{out_prefix}.{tag}.csv"
-            with open(path, "w") as fh:
-                fh.write(trace.to_csv())
+            _atomic_write(path, lambda tmp: Path(tmp).write_text(trace.to_csv()))
             click.echo(f"wrote {path}")
 
     base_bits, base_mse = finals["baseline"]

@@ -199,14 +199,17 @@ def _parse_header(data: bytes):
     return anchor_count, quant, layout, bbox, sections
 
 
-def section_bits(data: bytes) -> dict:
-    """Bits of each section (keys P, O, A, S, MLP), read from the header alone."""
-    sections = _parse_header(data)[-1]
+def _section_bits(sections) -> dict:
     return {key: 8 * len(sections[name]) for key, name in _SECTIONS.items()}
 
 
+def section_bits(data: bytes) -> dict:
+    """Bits of each section (keys P, O, A, S, MLP), read from the header alone."""
+    return _section_bits(_parse_header(data)[-1])
+
+
 def _decode(data: bytes):
-    """decode_container plus each attribute channel's byte length, by group."""
+    """decode_container plus each channel's byte length by group, and the parsed sections."""
     anchor_count, quant, layout, bbox, sections = _parse_header(data)
 
     # Each internal node has one occupancy byte, and none of the depth
@@ -236,7 +239,7 @@ def _decode(data: bytes):
         bbox=bbox,
         mlp_blob=sections["mlp"],
     )
-    return cloud, channel_bytes
+    return cloud, channel_bytes, sections
 
 
 def decode_container(data: bytes) -> AnchorCloud:
@@ -252,8 +255,8 @@ def analyze_container(data: bytes):
     """
     from .rate import RateReport, estimate_bits, fit_laplace, pearson
 
-    cloud, channel_bytes = _decode(data)
-    actual = section_bits(data)
+    cloud, channel_bytes, sections = _decode(data)
+    actual = _section_bits(sections)
     estimated = {}
     channel_est = []
     channel_act = []

@@ -22,6 +22,8 @@ from .rlc import rlc_encode
 PROB_FLOOR = 2.0**-40
 # Scale floor for degenerate constant streams.
 B_MIN = 1e-3
+# Symbols per kernel call in estimate_bits: bounds its temporaries at 512 KiB each.
+_BLOCK = 1 << 16
 
 _LOG2 = math.log(2.0)
 _SQRT2 = math.sqrt(2.0)
@@ -53,21 +55,20 @@ def fit_laplace(values) -> LaplaceModel:
     return LaplaceModel(mu=mu, b=b, sigma=sigma)
 
 
-def _interval_prob_raw(x: np.ndarray, mu: float, b: float) -> np.ndarray:
-    """CDF(x+0.5) - CDF(x-0.5) in a cancellation-free piecewise form."""
+def _laplace_terms(x: np.ndarray, mu: float, b: float):
+    """CDF(x+0.5) - CDF(x-0.5), branch-free and cancellation-free: (q, u1, u2, e1, e2).
+
+    u1, u2 = x - mu -/+ 0.5 are the interval ends and e = exp(-|u|/b). If mu is
+    inside (u1 < 0 < u2), q is one minus both tails; else the nearer tail times 1 - exp(-1/b).
+    """
     u1 = x - mu - 0.5
     u2 = x - mu + 0.5
-    q = np.empty_like(u1)
-
-    right = u1 >= 0  # whole interval right of mu
-    left = u2 <= 0   # whole interval left of mu
-    mid = ~(right | left)
-
+    e1 = np.exp(-np.abs(u1) / b)
+    e2 = np.exp(-np.abs(u2) / b)
     span = -np.expm1(-1.0 / b)  # 1 - exp(-1/b)
-    q[right] = 0.5 * np.exp(-u1[right] / b) * span
-    q[left] = 0.5 * np.exp(u2[left] / b) * span
-    q[mid] = 1.0 - 0.5 * np.exp(-u2[mid] / b) - 0.5 * np.exp(u1[mid] / b)
-    return q
+    mid = (u1 < 0) & (u2 > 0)
+    q = np.where(mid, 1.0 - 0.5 * e2 - 0.5 * e1, 0.5 * np.maximum(e1, e2) * span)
+    return q, u1, u2, e1, e2
 
 
 def interval_prob(model: LaplaceModel, x, floor: bool = True):
@@ -77,7 +78,7 @@ def interval_prob(model: LaplaceModel, x, floor: bool = True):
     """
     arr = np.asarray(x, dtype=np.float64)
     single = arr.ndim == 0
-    q = _interval_prob_raw(np.atleast_1d(arr), model.mu, model.b)
+    q = _laplace_terms(np.atleast_1d(arr), model.mu, model.b)[0]
     if floor:
         np.maximum(q, PROB_FLOOR, out=q)
     return float(q[0]) if single else q
@@ -94,15 +95,9 @@ def nll_bits_and_grads(x, mu: float, b: float):
     Returns (f, df/dx, df/dmu, df/db) as float64 arrays. Where the
     probability floor binds, all gradients are zero (clamp subgradient).
     """
-    arr = np.asarray(x, dtype=np.float64).ravel()
-    u1 = arr - mu - 0.5
-    u2 = arr - mu + 0.5
-    q = _interval_prob_raw(arr, mu, b)
-
-    pdf1 = np.exp(-np.abs(u1) / b) / (2.0 * b)
-    pdf2 = np.exp(-np.abs(u2) / b) / (2.0 * b)
-    dq_dx = pdf2 - pdf1
-    dq_db = -(u2 * np.exp(-np.abs(u2) / b) - u1 * np.exp(-np.abs(u1) / b)) / (2.0 * b * b)
+    q, u1, u2, e1, e2 = _laplace_terms(np.asarray(x, dtype=np.float64).ravel(), mu, b)
+    dq_dx = e2 / (2.0 * b) - e1 / (2.0 * b)
+    dq_db = -(u2 * e2 - u1 * e1) / (2.0 * b * b)
 
     floored = q <= PROB_FLOOR
     qc = np.maximum(q, PROB_FLOOR)
@@ -117,9 +112,10 @@ def nll_bits_and_grads(x, mu: float, b: float):
 def estimate_bits(model: LaplaceModel, values) -> float:
     """Total cross-entropy bits of an integer sequence under the model."""
     arr = np.asarray(values, dtype=np.float64).ravel()
-    if arr.size == 0:
-        return 0.0
-    return float(nll_bits(model, arr).sum())
+    bits = np.empty_like(arr)
+    for i in range(0, arr.size, _BLOCK):
+        bits[i : i + _BLOCK] = nll_bits(model, arr[i : i + _BLOCK])
+    return float(bits.sum())  # one sum over all symbols: the same bits as unblocked
 
 
 def rate_loss(offsets, features, scalings) -> float:
@@ -131,10 +127,8 @@ def rate_loss(offsets, features, scalings) -> float:
     total = 0.0
     for group in (offsets, features, scalings):
         arr = np.asarray(group, dtype=np.float64).ravel()
-        if arr.size == 0:
-            continue
-        model = fit_laplace(arr)
-        total += float(nll_bits(model, arr).mean())
+        if arr.size:
+            total += estimate_bits(fit_laplace(arr), arr) / arr.size
     return total
 
 

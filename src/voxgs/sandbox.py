@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
@@ -27,7 +26,7 @@ from .container import markov_channels
 from .geometry import morton_encode, sort_by_morton
 from .model import GROUPS, AnchorCloud, AttributeLayout, QuantParams
 from .quantize import check_int32, ste_round
-from .rate import B_MIN, fit_laplace, nll_bits, nll_bits_and_grads
+from .rate import B_MIN, estimate_bits, fit_laplace, nll_bits_and_grads
 from .rlc import encode_attributes
 
 _SQRT2 = math.sqrt(2.0)
@@ -36,6 +35,13 @@ DEFAULT_LAMBDA1 = 0.2
 DEFAULT_LAMBDA2 = 0.8
 DEFAULT_LAMBDA3 = 1e-4
 DEFAULT_LR = 1e-2
+
+# make_scene's quantization, parameter noise around the targets (in quantization
+# steps) and offset mix (zeros, then boundary-straddlers, then the integer tail).
+SCENE_QUANT = QuantParams(q_p=256, q_o=32, q_a=1, q_s=8)
+INIT_NOISE = 0.05
+ZERO_FRAC = 0.5
+BOUNDARY_FRAC = 0.25
 
 
 @dataclass
@@ -50,7 +56,6 @@ class SandboxScene:
     lambda1: float = DEFAULT_LAMBDA1
     lambda2: float = DEFAULT_LAMBDA2
     lambda3: float = DEFAULT_LAMBDA3
-    backprop_fit: bool = True
 
     def __post_init__(self):
         for name in GROUPS:
@@ -119,18 +124,16 @@ class TrainTrace:
         return "\n".join(lines) + "\n"
 
 
-def _rate_grads(z: np.ndarray, backprop_fit: bool):
+def _rate_grads(z: np.ndarray):
     """Total estimated bits of z and its gradient, including the model fit path."""
     flat = z.ravel()
     n = flat.size
     model = fit_laplace(flat)
     mu, sigma = model.mu, model.sigma
     f, df_dx, df_dmu, df_db = nll_bits_and_grads(flat, mu, model.b)
-    grad = df_dx.copy()
-    if backprop_fit:
-        grad += df_dmu.sum() / n
-        if sigma * _SQRT2 > B_MIN:  # fit-path b gradient only when the floor is inactive
-            grad += df_db.sum() * (flat - mu) / (n * sigma * _SQRT2)
+    grad = df_dx + df_dmu.sum() / n
+    if sigma * _SQRT2 > B_MIN:  # fit-path b gradient only when the floor is inactive
+        grad += df_db.sum() * (flat - mu) / (n * sigma * _SQRT2)
     return float(f.sum()), grad.reshape(z.shape)
 
 
@@ -167,18 +170,16 @@ def step(
 
         grad = (scene.lambda1 * np.sign(d) + 2.0 * scene.lambda2 * d) / dims_total
 
-        if include_rate and scene.lambda3 != 0.0 and z.size:
-            est, rate_grad = _rate_grads(z, scene.backprop_fit)
+        if z.size:
+            if include_rate and scene.lambda3 != 0.0:
+                est, rate_grad = _rate_grads(z)
+                grad = grad + scene.lambda3 * rate_grad * q
+            else:
+                # Diagnostics only: keep the trace finite without touching gradients.
+                zi = z if quantize else ste_round(z)
+                est = estimate_bits(fit_laplace(zi), zi)
             est_total += est
             rate_loss_total += est / z.size
-            grad = grad + scene.lambda3 * rate_grad * q
-        elif z.size:
-            # Diagnostics only: keep the trace finite without touching gradients.
-            zi = ste_round(p * q) if not quantize else z
-            model = fit_laplace(zi)
-            bits = nll_bits(model, np.asarray(zi, dtype=np.float64).ravel())
-            est_total += float(bits.sum())
-            rate_loss_total += float(bits.mean())
 
         grads[name] = grad
 
@@ -249,17 +250,9 @@ def make_scene(
     anchors: int = 256,
     k: int = 10,
     m: int = 50,
-    q_p: int = 256,
-    q_o=32,
-    q_a=1,
-    q_s=8,
     lambda1: float = DEFAULT_LAMBDA1,
     lambda2: float = DEFAULT_LAMBDA2,
     lambda3: float = DEFAULT_LAMBDA3,
-    init_noise: float = 0.05,
-    backprop_fit: bool = True,
-    boundary_frac: float = 0.25,
-    zero_frac: float = 0.5,
 ) -> SandboxScene:
     """Seeded synthetic scene mirroring the qualitative per-group distributions.
 
@@ -269,13 +262,13 @@ def make_scene(
     """
     rng = np.random.default_rng(seed)
     layout = AttributeLayout(k=k, m=m)
-    quant = QuantParams(q_p=q_p, q_o=Fraction(q_o), q_a=Fraction(q_a), q_s=Fraction(q_s))
+    quant = SCENE_QUANT
 
     # Distinct Morton-sorted voxel positions.
-    pos = rng.integers(0, q_p, size=(anchors * 2, 3), dtype=np.int64)
+    pos = rng.integers(0, quant.q_p, size=(anchors * 2, 3), dtype=np.int64)
     pos = np.unique(pos, axis=0)
     while pos.shape[0] < anchors:
-        extra = rng.integers(0, q_p, size=(anchors, 3), dtype=np.int64)
+        extra = rng.integers(0, quant.q_p, size=(anchors, 3), dtype=np.int64)
         pos = np.unique(np.vstack([pos, extra]), axis=0)
     pos = pos[rng.permutation(pos.shape[0])[:anchors]]
     pos = pos[np.argsort(morton_encode(pos))]
@@ -286,10 +279,10 @@ def make_scene(
     n_off = anchors * layout.offset_dims
     cat = rng.random(n_off)
     off = np.zeros(n_off)
-    boundary = (cat >= zero_frac) & (cat < zero_frac + boundary_frac)
+    boundary = (cat >= ZERO_FRAC) & (cat < ZERO_FRAC + BOUNDARY_FRAC)
     signs = rng.choice([-1.0, 1.0], size=n_off)
     off[boundary] = signs[boundary] * (0.52 + 0.1 * rng.random(int(boundary.sum()))) / qo
-    tail = cat >= zero_frac + boundary_frac
+    tail = cat >= ZERO_FRAC + BOUNDARY_FRAC
     tail_z = ste_round(rng.laplace(0.0, 0.8, size=int(tail.sum())))
     off[tail] = np.clip(tail_z, -3, 3) / qo
     offsets_t = off.reshape(anchors, layout.offset_dims)
@@ -307,7 +300,7 @@ def make_scene(
     targets = {"offsets": offsets_t, "features": feats, "scalings": scal}
     params = {
         name: targets[name]
-        + rng.normal(0.0, init_noise / float(quant.scale_for(name)), size=targets[name].shape)
+        + rng.normal(0.0, INIT_NOISE / float(quant.scale_for(name)), size=targets[name].shape)
         for name in GROUPS
     }
     return SandboxScene(
@@ -319,5 +312,4 @@ def make_scene(
         lambda1=lambda1,
         lambda2=lambda2,
         lambda3=lambda3,
-        backprop_fit=backprop_fit,
     )

@@ -1,3 +1,4 @@
+import os
 import re
 
 import numpy as np
@@ -204,6 +205,54 @@ class TestSweep:
         )
         assert result.exit_code == 2
 
+    def test_overflowing_scale_exit_2(self, runner):
+        result = runner.invoke(
+            main, ["sweep", "--axis", "q_a", "--values", "1e12", "--synthetic", "100"]
+        )
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert "error: features integers overflow int32 storage" in result.output
+
+
+class TestOutputPath:
+    def _assert_cannot_write(self, result, out):
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert f"error: cannot write {out}" in result.output
+        assert not out.parent.exists()
+
+    def test_encode_into_missing_directory(self, runner, anchor_file, tmp_path):
+        out = tmp_path / "missing" / "x.vxgs"
+        result = runner.invoke(main, ["encode", str(anchor_file), str(out)])
+        self._assert_cannot_write(result, out)
+
+    def test_decode_into_missing_directory(self, runner, anchor_file, tmp_path):
+        blob = tmp_path / "scene.vxgs"
+        assert runner.invoke(main, ["encode", str(anchor_file), str(blob)]).exit_code == 0
+        out = tmp_path / "missing" / "x.txt"
+        result = runner.invoke(main, ["decode", str(blob), str(out)])
+        self._assert_cannot_write(result, out)
+
+    def test_sandbox_trace_into_missing_directory(self, runner, tmp_path):
+        prefix = tmp_path / "missing" / "trace"
+        result = runner.invoke(
+            main,
+            ["sandbox", "--steps", "3", "--warmup", "1", "--anchors", "8",
+             "--out-prefix", str(prefix)],
+        )
+        self._assert_cannot_write(result, tmp_path / "missing" / "trace.baseline.csv")
+
+    def test_failed_move_leaves_no_temporary(self, runner, anchor_file, tmp_path, monkeypatch):
+        def refuse(src, dst):
+            raise PermissionError(13, "Permission denied")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        out = tmp_path / "x.vxgs"
+        result = runner.invoke(main, ["encode", str(anchor_file), str(out)])
+        assert result.exit_code == 2, result.output
+        assert f"error: cannot write {out}: Permission denied" in result.output
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["scene.txt"]
+
 
 class TestSandbox:
     def test_reports_reduction(self, runner, tmp_path):
@@ -241,3 +290,24 @@ class TestSandbox:
         assert result.exit_code == 2, result.output
         assert isinstance(result.exception, SystemExit)
         assert "Invalid value" in result.output
+
+    @pytest.mark.parametrize("args", [["--lr", "1e300"], ["--lr", "-1e300"]])
+    def test_run_failure_exit_2(self, runner, args):
+        result = runner.invoke(
+            main, ["sandbox", "--steps", "3", "--warmup", "1", "--anchors", "8", *args]
+        )
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert "error: baseline run failed: ste_round input exceeds the int64 range" in (
+            result.output
+        )
+
+    @pytest.mark.parametrize("option", ["--lr", "--lambda1", "--lambda2", "--lambda3"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_option_exit_2(self, runner, option, value):
+        result = runner.invoke(
+            main, ["sandbox", "--steps", "3", "--warmup", "1", "--anchors", "8", option, value]
+        )
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert f"{option.lstrip('-')} must be finite" in result.output

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from voxgs import (
     CalibrationResult,
@@ -105,6 +107,11 @@ class TestEstimateBits:
         assert math.isfinite(bits)
         assert bits == pytest.approx(100 * -math.log2(interval_prob(model, 0)), rel=1e-12)
 
+    def test_blocks_sum_like_one_pass(self):
+        values = np.round(np.random.default_rng(68).laplace(0.0, 5.0, 3 * 2**16 + 17))
+        model = fit_laplace(values)
+        assert estimate_bits(model, values) == float(nll_bits(model, values).sum())
+
     def test_plug_in_entropy_oracle(self):
         # Histogram entropy of discretized-Laplace samples tracks the estimate.
         rng = np.random.default_rng(61)
@@ -193,6 +200,58 @@ class TestGradients:
         model = fit_laplace(x)
         f, _, _, _ = nll_bits_and_grads(x, model.mu, model.b)
         assert np.allclose(f, nll_bits(model, x), rtol=1e-12)
+
+
+def _masked_reference(x, mu, b):
+    """The three-way masked interval probability and six-exp gradient that the
+    one branch-free kernel replaced: returns (q, f, df/dx, df/dmu, df/db)."""
+    u1 = x - mu - 0.5
+    u2 = x - mu + 0.5
+    q = np.empty_like(u1)
+    right = u1 >= 0
+    left = u2 <= 0
+    mid = ~(right | left)
+    span = -np.expm1(-1.0 / b)
+    q[right] = 0.5 * np.exp(-u1[right] / b) * span
+    q[left] = 0.5 * np.exp(u2[left] / b) * span
+    q[mid] = 1.0 - 0.5 * np.exp(-u2[mid] / b) - 0.5 * np.exp(u1[mid] / b)
+
+    pdf1 = np.exp(-np.abs(u1) / b) / (2.0 * b)
+    pdf2 = np.exp(-np.abs(u2) / b) / (2.0 * b)
+    dq_dx = pdf2 - pdf1
+    dq_db = -(u2 * np.exp(-np.abs(u2) / b) - u1 * np.exp(-np.abs(u1) / b)) / (2.0 * b * b)
+    qc = np.maximum(q, PROB_FLOOR)
+    scale = np.where(q <= PROB_FLOOR, 0.0, -1.0 / (qc * math.log(2.0)))
+    df_dx = scale * dq_dx
+    return q, -np.log2(qc), df_dx, -df_dx, scale * dq_db
+
+
+def _same_bits(a, b):
+    return np.array_equal(np.asarray(a).view(np.uint64), np.asarray(b).view(np.uint64))
+
+
+class TestKernelMatchesMaskedReference:
+    # Dyadic locations keep mu -/+ 0.5 exact, so interval ends land on mu.
+    @settings(max_examples=300, deadline=None)
+    @given(
+        mu=st.one_of(st.integers(-640, 640).map(lambda i: i / 64), st.floats(-50.0, 50.0)),
+        b=st.one_of(st.just(B_MIN), st.floats(B_MIN, 50.0)),
+        xs=st.lists(st.integers(-60, 60).map(float), max_size=40),
+    )
+    @example(mu=0.0, b=B_MIN, xs=[-0.0, 0.0])
+    @example(mu=0.0, b=1.0, xs=[-0.0, 0.0, -1.0, 1.0])
+    def test_bit_identical(self, mu, b, xs):
+        x = np.array([mu - 0.5, mu + 0.5, mu + 0.0, mu - 0.0, 1e6, -1e6, *xs])
+        q, f, df_dx, df_dmu, df_db = _masked_reference(x, mu, b)
+        model = LaplaceModel(mu=mu, b=b, sigma=b * math.sqrt(2.0))
+        assert _same_bits(interval_prob(model, x, floor=False), q)
+        for got, want in zip(nll_bits_and_grads(x, mu, b), (f, df_dx, df_dmu, df_db)):
+            assert _same_bits(got, want)
+        assert _same_bits(nll_bits(model, x), f)
+
+    def test_grid_reaches_the_floor(self):
+        q, f, df_dx, _, _ = _masked_reference(np.array([1e6, -1e6]), 0.0, B_MIN)
+        assert np.all(q < PROB_FLOOR) and np.all(f == 40.0) and np.all(df_dx == 0.0)
 
 
 class TestCalibrateAlpha:

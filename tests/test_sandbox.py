@@ -187,6 +187,21 @@ class TestRun:
                 h.update(tensors[name].tobytes())
         assert h.hexdigest() == digest
 
+    @pytest.mark.parametrize(
+        "lambda3,digest",
+        [
+            (0.0, "1986c933f3bc3b63277243c3890eb0e625be30982197b685745081a7748d5d44"),
+            (1e-4, "174853ce001e87c08404c61541d2e4f874f7bddde941b793b42fcf159d4e1927"),
+        ],
+    )
+    def test_trace_and_final_params_pinned(self, lambda3, digest):
+        scene = make_scene(seed=4, anchors=64, lambda3=lambda3)
+        trace = run(scene, steps=60, warmup=20, measure_every=10)
+        h = hashlib.sha256(trace.to_csv().encode())
+        for name in GROUPS:
+            h.update(scene.params[name].tobytes())
+        assert h.hexdigest() == digest
+
     def test_determinism(self):
         t1 = run(make_scene(seed=9, anchors=64), steps=60, warmup=20)
         t2 = run(make_scene(seed=9, anchors=64), steps=60, warmup=20)

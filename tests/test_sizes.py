@@ -165,6 +165,21 @@ def test_analyze_calls_no_encoder(monkeypatch):
     assert analyze_container(blob).to_kv() == expected
 
 
+def test_analyze_parses_the_header_once(monkeypatch):
+    _, blob = _golden(*GOLDEN[2][:6])
+    expected = analyze_container(blob).to_kv()
+    calls = []
+    parse = container._parse_header
+
+    def counted(data):
+        calls.append(1)
+        return parse(data)
+
+    monkeypatch.setattr(container, "_parse_header", counted)
+    assert analyze_container(blob).to_kv() == expected
+    assert len(calls) == 1
+
+
 def test_cli_encode_neither_decodes_nor_analyzes(monkeypatch, tmp_path):
     fcloud, blob = _golden(*GOLDEN[2][:6])
     src, out = tmp_path / "scene.txt", tmp_path / "scene.vxgs"
