@@ -52,13 +52,17 @@ def _finite(_ctx, param, value):
 
 
 def _thread_cap() -> int:
+    """Sweep worker cap: VOXGS_THREADS (a positive integer, else exit 2) or the CPU count."""
     env = os.environ.get("VOXGS_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return os.cpu_count() or 1
+    if not env:
+        return os.cpu_count() or 1
+    try:
+        cap = int(env)
+    except ValueError:
+        cap = 0
+    if cap < 1:
+        _fail(f"VOXGS_THREADS must be a positive integer, not {env!r}")
+    return cap
 
 
 def _atomic_write(path, write):
@@ -192,7 +196,7 @@ def _corpus_sequences(corpus_dir, synthetic, seed):
 @main.command()
 @click.option("--corpus", "corpus_dir", type=click.Path(exists=True, file_okay=False), default=None)
 @click.option("--synthetic", type=int, default=0, help="Generate N synthetic scenes instead.")
-@click.option("--seed", type=int, default=0)
+@click.option("--seed", type=click.IntRange(min=0), default=0)
 def calibrate(corpus_dir, synthetic, seed):
     """Fit alpha and report the estimate/actual correlation over a corpus."""
     if not corpus_dir and synthetic <= 0:
@@ -231,7 +235,7 @@ def _sweep_point(fcloud, quant: QuantParams):
 @click.option("--values", required=True, help="Comma-separated list, e.g. 128,256,512.")
 @click.option("--input", "input_path", type=click.Path(exists=True, dir_okay=False), default=None)
 @click.option("--synthetic", type=int, default=0, help="Anchor count for a synthetic scene.")
-@click.option("--seed", type=int, default=0)
+@click.option("--seed", type=click.IntRange(min=0), default=0)
 @quant_options
 def sweep(axis, values, input_path, synthetic, seed, qp, qo, qa, qs, preset):
     """Encode the same scene across one quantization axis; CSV to stdout."""
@@ -273,7 +277,7 @@ def sweep(axis, values, input_path, synthetic, seed, qp, qo, qa, qs, preset):
 @click.option("--lambda2", type=float, callback=_finite, default=0.8)
 @click.option("--lambda3", type=float, callback=_finite, default=1e-4)
 @click.option("--lr", type=float, callback=_finite, default=1e-2)
-@click.option("--seed", type=int, default=0)
+@click.option("--seed", type=click.IntRange(min=0), default=0)
 @click.option("--out-prefix", type=click.Path(), default=None, help="Write trace CSVs here.")
 def sandbox(steps, warmup, anchors, lambda1, lambda2, lambda3, lr, seed, out_prefix):
     """Run the rate-constrained and unconstrained optimizations and compare."""

@@ -152,6 +152,12 @@ class TestCalibrate:
         result = runner.invoke(main, ["calibrate"])
         assert result.exit_code == 2
 
+    def test_negative_seed_exit_2(self, runner):
+        result = runner.invoke(main, ["calibrate", "--synthetic", "2", "--seed", "-1"])
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert "Invalid value for '--seed'" in result.output
+
     def test_directory_corpus(self, runner, tmp_path):
         corpus = tmp_path / "corpus"
         corpus.mkdir()
@@ -212,6 +218,31 @@ class TestSweep:
         assert result.exit_code == 2, result.output
         assert isinstance(result.exception, SystemExit)
         assert "error: features integers overflow int32 storage" in result.output
+
+    def test_negative_seed_exit_2(self, runner):
+        args = ["sweep", "--axis", "q_p", "--values", "128", "--synthetic", "10", "--seed", "-1"]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert "Invalid value for '--seed'" in result.output
+
+    @pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5"])
+    def test_thread_cap_not_a_positive_integer_exit_2(self, runner, monkeypatch, value):
+        monkeypatch.setenv("VOXGS_THREADS", value)
+        result = runner.invoke(
+            main, ["sweep", "--axis", "q_p", "--values", "128,256", "--synthetic", "10"]
+        )
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert result.output == f"error: VOXGS_THREADS must be a positive integer, not '{value}'\n"
+
+    def test_thread_cap_one(self, runner, monkeypatch):
+        monkeypatch.setenv("VOXGS_THREADS", "1")
+        args = ["sweep", "--axis", "q_p", "--values", "128,256", "--synthetic", "50"]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 0, result.output
+        monkeypatch.delenv("VOXGS_THREADS")
+        assert runner.invoke(main, args).output == result.output
 
 
 class TestOutputPath:
@@ -290,6 +321,14 @@ class TestSandbox:
         assert result.exit_code == 2, result.output
         assert isinstance(result.exception, SystemExit)
         assert "Invalid value" in result.output
+
+    def test_negative_seed_exit_2(self, runner):
+        result = runner.invoke(
+            main, ["sandbox", "--steps", "3", "--warmup", "1", "--anchors", "8", "--seed", "-1"]
+        )
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert "Invalid value for '--seed'" in result.output
 
     @pytest.mark.parametrize("args", [["--lr", "1e300"], ["--lr", "-1e300"]])
     def test_run_failure_exit_2(self, runner, args):

@@ -14,15 +14,27 @@ from voxgs import (
     interval_prob,
     rate_loss,
 )
+import voxgs.rate as rate
+from voxgs.container import analyze_container, decode_container
 from voxgs.errors import CorrelationUndefinedError
+from voxgs.model import GROUPS
+from voxgs.quantize import ste_round
 from voxgs.rate import (
     B_MIN,
     PROB_FLOOR,
     RateReport,
+    _laplace_terms,
+    _nll_terms,
+    _symbol_table,
     nll_bits,
     nll_bits_and_grads,
     pearson,
 )
+from voxgs.sandbox import make_scene, step
+from tests.test_golden import GOLDEN
+from tests.test_sizes import _golden
+
+INT32_MIN, INT32_MAX = int(np.iinfo(np.int32).min), int(np.iinfo(np.int32).max)
 
 
 class TestFitLaplace:
@@ -252,6 +264,106 @@ class TestKernelMatchesMaskedReference:
     def test_grid_reaches_the_floor(self):
         q, f, df_dx, _, _ = _masked_reference(np.array([1e6, -1e6]), 0.0, B_MIN)
         assert np.all(q < PROB_FLOOR) and np.all(f == 40.0) and np.all(df_dx == 0.0)
+
+
+def _assert_matches_direct(x, mu, b):
+    """estimate_bits and nll_bits_and_grads give the bits of one direct kernel pass."""
+    direct = np.asarray(x, dtype=np.float64).ravel()
+    q = _laplace_terms(direct, mu, b)[0]
+    total = float((-np.log2(np.maximum(q, PROB_FLOOR))).sum())
+    model = LaplaceModel(mu=mu, b=b, sigma=b * math.sqrt(2.0))
+    assert _same_bits(estimate_bits(model, x), total)
+    for got, want in zip(nll_bits_and_grads(x, mu, b), _nll_terms(direct, mu, b)):
+        assert _same_bits(got, want)
+
+
+class TestSymbolTableMatchesDirect:
+    """The per-distinct-value table changes no bit of any result."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        dtype=st.sampled_from([np.int32, np.int64, np.float64]),
+        lo=st.integers(-1000, 1000),
+        offsets=st.lists(st.integers(0, 60), min_size=1, max_size=60),
+        mu=st.floats(-50.0, 50.0),
+        b=st.one_of(st.just(B_MIN), st.floats(B_MIN, 50.0)),
+    )
+    def test_integer_streams(self, dtype, lo, offsets, mu, b):
+        x = (lo + np.array(offsets)).astype(dtype)
+        assert (_symbol_table(x) is not None) == (max(offsets) - min(offsets) < len(offsets))
+        _assert_matches_direct(x, mu, b)
+
+    @pytest.mark.parametrize(
+        "x,tabled",
+        [
+            (np.arange(-3, 5), True),  # range = length - 1
+            (np.array([0, 0, 0, 4]), False),  # range = length
+            (np.array([7]), True),
+            (np.array([], dtype=np.int64), False),
+            (np.array([-0.0, 0.0, 1.0, -0.0]), True),
+            (np.array([INT32_MIN, INT32_MAX, 0, 0], dtype=np.int32), False),
+            (np.array([5, 3, 4, 5], dtype=np.int32), True),
+            (np.array([5.0, 3.0, 4.0, 5.0]), True),
+            (np.array([0.5, 1.0, 1.5, 1.0]), False),
+            # 1e-300 + 3 rounds to the integer 3: the symbol itself must be integral.
+            (np.array([1e-300, -3.0, 0.0, -1.0]), False),
+        ],
+    )
+    @pytest.mark.parametrize("b", [B_MIN, 0.7, 6.0])
+    def test_edge_streams(self, x, tabled, b):
+        assert (_symbol_table(x) is not None) == tabled
+        _assert_matches_direct(x, 0.25, b)
+
+    @pytest.mark.parametrize(
+        "x", [np.array([np.nan, 1.0]), np.array([np.inf, np.inf]), np.array([-np.inf, 0.0])]
+    )
+    def test_non_finite_streams_have_no_table(self, x):
+        assert _symbol_table(x) is None
+
+    def test_table_indexes_every_symbol(self):
+        x = np.array([[3, -2], [0, 3], [1, 1]], dtype=np.int32).ravel()
+        table, index = _symbol_table(x)
+        assert table.dtype == np.float64 and table.tolist() == [-2, -1, 0, 1, 2, 3]
+        assert np.array_equal(table[index], x)
+
+
+class TestKernelWork:
+    """The Laplace kernel sees each stream's value range, not each symbol."""
+
+    @pytest.fixture
+    def kernel_sizes(self, monkeypatch):
+        sizes = []
+        kernel = rate._laplace_terms
+
+        def spy(x, mu, b):
+            sizes.append(x.size)
+            return kernel(x, mu, b)
+
+        monkeypatch.setattr(rate, "_laplace_terms", spy)
+        return sizes
+
+    @staticmethod
+    def _values(stream):
+        return int(stream.max()) - int(stream.min()) + 1
+
+    @pytest.mark.parametrize("lambda3", [1e-4, 0.0])
+    def test_sandbox_step(self, kernel_sizes, lambda3):
+        scene = make_scene(anchors=256, lambda3=lambda3)
+        streams = [ste_round(scene.params[g] * scene.scale(g)) for g in GROUPS]
+        step(scene)
+        assert sum(kernel_sizes) <= sum(self._values(z) for z in streams)
+        assert sum(self._values(z) for z in streams) < sum(z.size for z in streams) // 100
+
+    def test_analyze_container(self, kernel_sizes):
+        _, blob = _golden(*GOLDEN[1][:6])
+        cloud = decode_container(blob)
+        kernel_sizes.clear()
+        analyze_container(blob)
+        bound = 0
+        for name in ("offsets", "features", "scalings"):
+            mat = cloud.group(name)
+            bound += self._values(mat) + sum(self._values(col) for col in mat.T)
+        assert sum(kernel_sizes) <= bound < cloud.anchor_count * cloud.layout.total_dims
 
 
 class TestCalibrateAlpha:
