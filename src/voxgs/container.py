@@ -32,15 +32,17 @@ Anchor text file format (one value per whitespace-separated column):
 from __future__ import annotations
 
 import binascii
+import re
 import struct
 from fractions import Fraction
 
 import numpy as np
 
 from .errors import AnchorFileError, CorruptStreamError
-from .geometry import OctreePayload, octree_decode, octree_encode, sort_by_morton
+from .geometry import OctreePayload, morton_encode, octree_decode, octree_encode, sort_by_morton
 from .model import (
     GROUPS,
+    MAX_GRID,
     AnchorCloud,
     AttributeLayout,
     FloatAnchorCloud,
@@ -332,6 +334,8 @@ def read_anchor_file(path) -> FloatAnchorCloud:
                 header["bbox"] = [float(v) for v in parts[1:]]
             except ValueError:
                 fail(idx + 1, "bbox values must be reals")
+            if not np.all(np.isfinite(header["bbox"])):
+                fail(idx + 1, "bbox values must be finite")
         elif key == "mlp":
             if len(parts) != 2:
                 fail(idx + 1, "mlp takes one hex string")
@@ -340,7 +344,7 @@ def read_anchor_file(path) -> FloatAnchorCloud:
             except (binascii.Error, ValueError):
                 fail(idx + 1, "invalid hex in mlp line")
         else:
-            if len(parts) != 2 or not parts[1].lstrip("-").isdigit():
+            if len(parts) != 2 or not re.fullmatch(r"-?[0-9]+", parts[1]):
                 fail(idx + 1, f"{key} needs one integer value")
             header[key] = int(parts[1])
         idx += 1
@@ -448,9 +452,6 @@ def generate_synthetic(
     if anchors:
         # Attribute runs must survive the codec's Morton sort, so generate the
         # correlated chains along fine-grid Morton order of the positions.
-        from .geometry import morton_encode
-        from .model import MAX_GRID
-
         fine = np.clip((positions * MAX_GRID).astype(np.int64), 0, MAX_GRID - 1)
         positions = positions[np.argsort(morton_encode(fine), kind="stable")]
 

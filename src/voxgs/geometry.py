@@ -4,11 +4,15 @@ Bit layout: x occupies bit 0 of each interleaved triple, y bit 1, z bit 2,
 and the octree child index is (z << 2) | (y << 1) | x. With that convention
 the breadth-first leaf order of the octree coincides with ascending Morton
 order, so no extra sort is needed after decoding.
+
+The encoder sorts the leaf codes once and builds the levels bottom-up: a new
+parent (code >> 3) starts wherever neighbouring parents differ, its occupancy
+byte ORs its children's slot bits, and those parents form the next level up.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -72,26 +76,19 @@ def morton_decode(codes) -> np.ndarray:
 def sort_by_morton(cloud: AnchorCloud) -> AnchorCloud:
     """Permute anchors into ascending Morton order, carrying attribute rows."""
     codes = morton_encode(cloud.positions)
-    if np.unique(codes).size != codes.size:
-        raise ValueError("cloud contains duplicate positions")
     order = np.argsort(codes, kind="stable")
+    codes = codes[order]
+    if np.any(codes[1:] == codes[:-1]):
+        raise ValueError("cloud contains duplicate positions")
     if np.array_equal(order, np.arange(order.size)):
         return cloud
-    return AnchorCloud(
+    return replace(
+        cloud,
         positions=cloud.positions[order],
         offsets=cloud.offsets[order],
         features=cloud.features[order],
         scalings=cloud.scalings[order],
-        layout=cloud.layout,
-        quant=cloud.quant,
-        bbox=cloud.bbox,
-        mlp_blob=cloud.mlp_blob,
     )
-
-
-def is_morton_sorted(positions) -> bool:
-    codes = morton_encode(np.asarray(positions, dtype=np.int64).reshape(-1, 3))
-    return bool(np.all(codes[1:] > codes[:-1]))
 
 
 @dataclass(frozen=True)
@@ -111,21 +108,19 @@ def octree_encode(positions, depth: int) -> OctreePayload:
     if pos.size and (pos.min() < 0 or pos.max() >= (1 << depth)):
         raise ValueError(f"coordinates exceed the depth-{depth} grid")
     codes = np.sort(morton_encode(pos))
-    if codes.size and np.any(codes[1:] == codes[:-1]):
+    if np.any(codes[1:] == codes[:-1]):
         raise ValueError("duplicate positions in octree input")
 
-    out = bytearray()
-    if codes.size:
-        for level in range(depth):
-            node_shift = _U(3 * (depth - level))
-            child_shift = _U(3 * (depth - level - 1))
-            children = np.unique(codes >> child_shift)
-            parents = children >> _U(3)
-            slots = (children & _U(7)).astype(np.uint8)
-            starts = np.flatnonzero(np.r_[True, parents[1:] != parents[:-1]])
-            occ = np.bitwise_or.reduceat(np.left_shift(1, slots).astype(np.uint8), starts)
-            out.extend(occ.tobytes())
-    return OctreePayload(depth=depth, occupancy_bytes=bytes(out), point_count=int(codes.size))
+    levels = []
+    nodes = codes
+    for _level in range(depth if codes.size else 0):
+        parents = nodes >> _U(3)
+        slots = (nodes & _U(7)).astype(np.uint8)
+        starts = np.flatnonzero(np.r_[True, parents[1:] != parents[:-1]])
+        levels.append(np.bitwise_or.reduceat(np.left_shift(1, slots).astype(np.uint8), starts))
+        nodes = parents[starts]
+    out = b"".join(occ.tobytes() for occ in reversed(levels))
+    return OctreePayload(depth=depth, occupancy_bytes=out, point_count=int(codes.size))
 
 
 def octree_decode(payload: OctreePayload) -> np.ndarray:

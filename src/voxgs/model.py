@@ -194,6 +194,8 @@ class ValidationReport:
 def validate(cloud: AnchorCloud) -> ValidationReport:
     """Check cloud invariants; reports violations instead of raising."""
     report = ValidationReport()
+    if not np.all(np.isfinite(cloud.bbox)):
+        report.findings.append("bounding box has non-finite values")
     n = cloud.anchor_count
     if n == 0:
         return report
@@ -205,12 +207,14 @@ def validate(cloud: AnchorCloud) -> ValidationReport:
             f"{bad.size} position(s) outside [0, {cloud.quant.q_p}) grid, first at row {bad[0]}"
         )
 
-    uniq, counts = np.unique(pos, axis=0, return_counts=True)
-    dup = counts > 1
-    if dup.any():
-        first = uniq[dup][0]
+    # Sorted rows make each duplicated position one run of equal neighbours.
+    rows = pos[np.lexsort(pos.T[::-1])]
+    same = (rows[1:] == rows[:-1]).all(axis=1)
+    run_starts = same & ~np.r_[False, same[:-1]]
+    if run_starts.any():
+        first = rows[np.argmax(run_starts)]
         report.findings.append(
-            f"{int(dup.sum())} duplicated position(s), e.g. {tuple(int(c) for c in first)}"
+            f"{int(run_starts.sum())} duplicated position(s), e.g. {tuple(int(c) for c in first)}"
         )
 
     for name in GROUPS:

@@ -13,6 +13,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from .geometry import morton_encode
 from .model import MAX_GRID
 
 INT32_MIN = -(2**31)
@@ -97,17 +98,13 @@ def voxelize(points, q_p: int, bbox):
     grid = ste_round((pts - lo) / extent * q_p)
     np.clip(grid, 0, q_p - 1, out=grid)
 
-    if grid.shape[0] == 0:
-        return grid, np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
-
-    uniq, first_idx, inverse = np.unique(
-        grid, axis=0, return_index=True, return_inverse=True
+    # Morton codes are injective on the grid, so they key voxels in 1-D.
+    _, first_idx, inverse = np.unique(
+        morton_encode(grid), return_index=True, return_inverse=True
     )
     # np.unique sorts; restore first-occurrence input order.
-    order = np.argsort(first_idx, kind="stable")
-    rank = np.empty_like(order)
-    rank[order] = np.arange(order.size)
-    return uniq[order], first_idx[order], rank[inverse.ravel()]
+    kept = np.sort(first_idx)
+    return grid[kept], kept, np.searchsorted(kept, first_idx)[inverse]
 
 
 def quantize_positions(points, q_p: int, bbox):

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CorruptStreamError
-from .geometry import is_morton_sorted
+from .geometry import morton_encode
 from .model import GROUPS, AnchorCloud, AttributeLayout
 
 # Decoders refuse element counts above this to keep allocations bounded on
@@ -261,8 +261,10 @@ def encode_attributes(cloud: AnchorCloud):
     of the per-channel streams concatenated.
     Returns (payloads, bits) dicts keyed by group name.
     """
-    if cloud.anchor_count > 1 and not is_morton_sorted(cloud.positions):
-        raise ValueError("cloud must be sorted in Morton order before attribute coding")
+    if cloud.anchor_count > 1:
+        codes = morton_encode(cloud.positions)
+        if not np.all(codes[1:] > codes[:-1]):
+            raise ValueError("cloud must be sorted in Morton order before attribute coding")
     payloads = {}
     bits = {}
     for name in GROUPS:

@@ -74,6 +74,17 @@ class TestEncode:
         assert "must not exceed" in result.output
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    def test_non_finite_bbox_exit_2(self, runner, tmp_path, value):
+        bad = tmp_path / "bbox.txt"
+        row = " ".join(["0.5"] * 14)
+        bad.write_text(f"voxgs-anchors 1\nanchors 1\nk 1\nm 2\nbbox 0 0 0 {value} 1 1\n{row}\n")
+        result = runner.invoke(main, ["encode", str(bad), str(tmp_path / "o")])
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert result.output.splitlines() == ["error: line 5: bbox values must be finite"]
+        assert not (tmp_path / "o").exists()
+
     def test_preset(self, runner, anchor_file, tmp_path):
         out = tmp_path / "p.vxgs"
         result = runner.invoke(

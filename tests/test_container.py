@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -111,6 +112,15 @@ class TestContainerRoundTrip:
         )
         with pytest.raises(ValueError):
             encode_container(bad)
+
+    @pytest.mark.parametrize("n", [0, 20])
+    @pytest.mark.parametrize("value", [np.inf, np.nan])
+    def test_non_finite_bbox_rejected(self, n, value):
+        cloud = random_cloud(np.random.default_rng(77), n=n)
+        bbox = cloud.bbox.copy()
+        bbox[1, 0] = value
+        with pytest.raises(ValueError, match="bounding box has non-finite values"):
+            encode_container(dataclasses.replace(cloud, bbox=bbox))
 
     def test_header_accounts_for_every_byte(self):
         cloud = random_cloud(np.random.default_rng(75), n=50)
@@ -256,6 +266,25 @@ class TestAnchorFile:
             tracemalloc.stop()
         assert exc_info.value.line == 6
         assert peak < 1 << 20
+
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+    def test_non_finite_bbox_rejected_at_its_line(self, tmp_path, value):
+        path = tmp_path / "bbox.txt"
+        row = " ".join(["0.5"] * 14)
+        path.write_text(f"voxgs-anchors 1\nanchors 1\nk 1\nm 2\nbbox 0 0 0 {value} 1 1\n{row}\n")
+        with pytest.raises(AnchorFileError, match="bbox values must be finite") as exc_info:
+            read_anchor_file(path)
+        assert exc_info.value.line == 5
+
+    @pytest.mark.parametrize("value", ["--5", "\u00b2", "1_000", "+5", "5.0"])
+    def test_integer_field_takes_only_ascii_digits(self, tmp_path, value):
+        path = tmp_path / "int.txt"
+        path.write_text(
+            f"voxgs-anchors 1\nanchors {value}\nk 1\nm 2\nbbox 0 0 0 1 1 1\n", encoding="utf-8"
+        )
+        with pytest.raises(AnchorFileError, match="anchors needs one integer value") as exc_info:
+            read_anchor_file(path)
+        assert exc_info.value.line == 2
 
     def test_missing_signature(self, tmp_path):
         path = tmp_path / "sig.txt"

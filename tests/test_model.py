@@ -137,5 +137,13 @@ class TestValidate:
         report = validate(bad)
         assert any("offsets" in f for f in report)
 
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    def test_non_finite_bbox(self, value):
+        bbox = np.array([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]])
+        bbox[0, 2] = value
+        for positions in ([[0, 0, 0]], np.zeros((0, 3))):
+            report = validate(_cloud(positions, bbox=bbox))
+            assert report.findings == ["bounding box has non-finite values"]
+
     def test_valid_cloud(self):
         assert validate(_cloud([[0, 0, 0], [3, 3, 3]])).valid
