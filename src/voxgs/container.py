@@ -50,6 +50,7 @@ from .model import (
     validate,
 )
 from .quantize import check_int32, dequantize_features, quantize_features, voxelize
+from .rate import RateReport, estimate_bits, fit_laplace, pearson
 from .rlc import (
     MAX_ELEMENTS,
     decode_groups,
@@ -255,8 +256,6 @@ def analyze_container(data: bytes):
     Actual bits are the container's own sizes: each section's length from
     the header and each attribute channel's length from the decoder.
     """
-    from .rate import RateReport, estimate_bits, fit_laplace, pearson
-
     cloud, channel_bytes, sections = _decode(data)
     actual = _section_bits(sections)
     estimated = {}

@@ -28,14 +28,17 @@ def ste_round(x):
     is identity (gradient 1 everywhere).
     """
     arr = np.asarray(x, dtype=np.float64)
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("ste_round requires finite input")
-    magnitude = np.floor(np.abs(arr) + 0.5)
+    magnitude = np.abs(arr, out=np.empty_like(arr))  # an array even for 0-d input
+    magnitude += 0.5
+    np.floor(magnitude, out=magnitude)
     # Checked before the cast: numpy casts out-of-range floats with a warning
-    # and an arbitrary result.
-    if magnitude.size and magnitude.max() >= INT64_LIMIT:
+    # and an arbitrary result. NaN and +-inf fail the same comparison.
+    if magnitude.size and not magnitude.max() < INT64_LIMIT:
+        if not np.all(np.isfinite(arr)):
+            raise ValueError("ste_round requires finite input")
         raise ValueError("ste_round input exceeds the int64 range")
-    out = (np.sign(arr) * magnitude).astype(np.int64)
+    # copysign differs from sign * magnitude only in the sign of zero, which the cast drops.
+    out = np.copysign(magnitude, arr, out=magnitude).astype(np.int64)
     if np.isscalar(x) or arr.ndim == 0:
         return int(out)
     return out
@@ -85,6 +88,8 @@ def voxelize(points, q_p: int, bbox):
 
     pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
     box = np.asarray(bbox, dtype=np.float64).reshape(2, 3)
+    if not np.all(np.isfinite(box)):
+        raise ValueError("bounding box must be finite")
     lo, hi = box[0], box[1]
     extent = hi - lo
     if not np.all(np.isfinite(pts)):

@@ -8,12 +8,13 @@ probabilities; the actual run-length coder is expected to track this up to
 a proportionality constant alpha.
 
 Quantized streams hold few distinct integers (a 51,200-symbol sandbox feature
-group holds about 48), so estimate_bits and nll_bits_and_grads evaluate the
-Laplace kernel once per value of min..max and gather the results back to the
-symbols whenever that table is shorter than the stream. Each per-symbol
-value is the one direct evaluation gives, bit for bit, and every sum still
-runs over the full per-symbol array in stream order, so totals keep their
-bits too. Wide, off-grid or non-finite streams are evaluated directly.
+group holds about 48), so for an integer-dtype stream estimate_bits and
+nll_bits_and_grads evaluate the Laplace kernel once per value of min..max and
+gather the results back to the symbols whenever that table is shorter than
+the stream. Each per-symbol value is the one direct evaluation gives, bit for
+bit, and every sum still runs over the full per-symbol array in stream order,
+so totals keep their bits too. Wide integer streams and every float stream
+are evaluated directly.
 """
 
 from __future__ import annotations
@@ -100,27 +101,16 @@ def nll_bits(model: LaplaceModel, x) -> np.ndarray:
 def _symbol_table(x: np.ndarray):
     """(table, index) with table = min + arange(max - min + 1) and table[index] == x.
 
-    None unless x is finite, every symbol is min + k for an integer k, and
-    max - min < x.size, so the table is never longer than the stream.
-    Integer input is indexed without a float64 copy of the stream.
+    None unless x has an integer dtype that fits int64 and max - min < x.size,
+    so the table is never longer than the stream. Float streams, including
+    integer-valued ones, are evaluated directly.
     """
-    if x.size == 0:
+    if x.size == 0 or x.dtype.kind not in "iu" or not np.can_cast(x.dtype, np.int64):
         return None
-    if x.dtype.kind in "iu" and np.can_cast(x.dtype, np.int64):
-        lo, hi = int(x.min()), int(x.max())
-        if hi - lo >= x.size:
-            return None
-        index = np.subtract(x, lo, dtype=np.intp)
-    else:
-        x = np.asarray(x, dtype=np.float64)
-        lo, hi = x.min(), x.max()
-        if not (np.isfinite(lo) and np.isfinite(hi) and hi < lo + x.size):
-            return None
-        index = np.empty(x.size, dtype=np.intp)
-        np.subtract(x, lo, out=index, casting="unsafe")  # float differences in [0, x.size)
-        if not np.array_equal(lo + index, x):  # lo + index is table[index]: a symbol is off-grid
-            return None
-    return (lo + np.arange(int(hi - lo) + 1)).astype(np.float64), index
+    lo, hi = int(x.min()), int(x.max())
+    if hi - lo >= x.size:
+        return None
+    return (lo + np.arange(hi - lo + 1)).astype(np.float64), np.subtract(x, lo, dtype=np.intp)
 
 
 def _nll_terms(x: np.ndarray, mu: float, b: float):
@@ -178,7 +168,7 @@ def rate_loss(offsets, features, scalings) -> float:
     """
     total = 0.0
     for group in (offsets, features, scalings):
-        arr = np.asarray(group, dtype=np.float64).ravel()
+        arr = np.asarray(group).ravel()
         if arr.size:
             total += estimate_bits(fit_laplace(arr), arr) / arr.size
     return total

@@ -42,6 +42,8 @@ SCENE_QUANT = QuantParams(q_p=256, q_o=32, q_a=1, q_s=8)
 INIT_NOISE = 0.05
 ZERO_FRAC = 0.5
 BOUNDARY_FRAC = 0.25
+# make_scene's target fractions keep this far (plus 0.02) from a rounding boundary.
+TARGET_MARGIN = 0.03
 
 
 @dataclass
@@ -157,7 +159,7 @@ def step(
         t = scene.targets[name]
         q = scene.scale(name)
         if quantize:
-            z = ste_round(p * q).astype(np.float64)
+            z = ste_round(p * q)
             v = z / q
         else:
             z = p * q
@@ -237,11 +239,11 @@ def run(
     return trace
 
 
-def _fresh_with_margin(count, draw, scale, margin=0.03):
+def _fresh_with_margin(count, draw, scale):
     """Draw target values whose scaled fraction keeps clear of rounding boundaries."""
     z = draw(count) * scale
     frac = z - np.round(z)
-    frac = np.clip(frac, -0.5 + margin + 0.02, 0.5 - margin - 0.02)
+    frac = np.clip(frac, -0.5 + TARGET_MARGIN + 0.02, 0.5 - TARGET_MARGIN - 0.02)
     return (np.round(z) + frac) / scale
 
 

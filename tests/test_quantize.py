@@ -4,9 +4,26 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from voxgs import dequantize_features, quantize_features, quantize_positions, ste_round
-from voxgs.quantize import check_int32
+from voxgs import (
+    AttributeLayout,
+    FloatAnchorCloud,
+    QuantParams,
+    dequantize_features,
+    quantize_cloud,
+    quantize_features,
+    quantize_positions,
+    ste_round,
+)
+from voxgs.quantize import check_int32, voxelize
+
+
+def _sign_multiply_round(x):
+    """The sign * magnitude form of ste_round, kept as an oracle for finite input."""
+    arr = np.asarray(x, dtype=np.float64)
+    return (np.sign(arr) * np.floor(np.abs(arr) + 0.5)).astype(np.int64)
 
 
 class TestSteRound:
@@ -45,6 +62,45 @@ class TestSteRound:
                     ste_round(x)
             assert ste_round(2.0**63 - 1024) == 2**63 - 1024
             assert ste_round(-(2.0**63 - 1024)) == -(2**63 - 1024)
+
+    @pytest.mark.parametrize(
+        "x,message",
+        [
+            (np.array([np.nan]), "requires finite input"),
+            (np.array([np.inf]), "requires finite input"),
+            (np.array([-np.inf]), "requires finite input"),
+            (np.array([2.0**63]), "exceeds the int64 range"),
+            (np.array([-(2.0**63)]), "exceeds the int64 range"),
+            (np.array([1e300, np.nan]), "requires finite input"),
+            (np.array([np.nan, 1e300]), "requires finite input"),
+            (float("nan"), "requires finite input"),
+            (-(2.0**63), "exceeds the int64 range"),
+        ],
+    )
+    def test_rejection_messages(self, x, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=message):
+                ste_round(x)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        xs=st.lists(
+            st.one_of(
+                st.floats(-(2.0**62), 2.0**62, allow_nan=False),
+                st.integers(-1000, 1000).map(lambda i: i + 0.5),
+                st.sampled_from([0.0, -0.0, 0.5, -0.5, 0.49999999999999994]),
+            ),
+            max_size=30,
+        )
+    )
+    @example(xs=[-0.0, 0.0, -0.5, 0.5, -0.4, 0.4, -1.5, 1.5])
+    def test_matches_sign_multiply_oracle(self, xs):
+        x = np.array(xs, dtype=np.float64)
+        out = ste_round(x)
+        assert out.dtype == np.int64 and np.array_equal(out, _sign_multiply_round(x))
+        for v in xs:
+            assert ste_round(v) == int(_sign_multiply_round(v))
 
 
 class TestQuantizeFeatures:
@@ -124,6 +180,29 @@ class TestQuantizePositions:
     def test_outside_bbox_rejected(self):
         with pytest.raises(ValueError):
             quantize_positions(np.array([[1.1, 0.5, 0.5]]), 256, self.BOX)
+
+    @pytest.mark.parametrize(
+        "corner,axis,value",
+        [(1, 0, np.inf), (0, 1, -np.inf), (0, 2, np.nan), (1, 1, np.nan)],
+    )
+    def test_non_finite_bbox_rejected(self, corner, axis, value):
+        box = self.BOX.copy()
+        box[corner, axis] = value
+        pts = np.array([[0.25, 0.5, 0.75], [0.5, 0.5, 0.5]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="bounding box"):
+                voxelize(pts, 16, box)
+            fcloud = FloatAnchorCloud(
+                positions=pts,
+                offsets=np.zeros((2, 3)),
+                features=np.zeros((2, 1)),
+                scalings=np.zeros((2, 6)),
+                layout=AttributeLayout(k=1, m=1),
+                bbox=box,
+            )
+            with pytest.raises(ValueError, match="bounding box"):
+                quantize_cloud(fcloud, QuantParams(q_p=16))
 
     def test_grid_limit(self):
         with pytest.raises(ValueError):

@@ -290,11 +290,14 @@ class TestSymbolTableMatchesDirect:
     )
     def test_integer_streams(self, dtype, lo, offsets, mu, b):
         x = (lo + np.array(offsets)).astype(dtype)
-        assert (_symbol_table(x) is not None) == (max(offsets) - min(offsets) < len(offsets))
+        narrow = max(offsets) - min(offsets) < len(offsets)
+        # Only integer dtypes are tabulated; integer-valued float64 streams go direct.
+        assert (_symbol_table(x) is not None) == (narrow and dtype != np.float64)
         _assert_matches_direct(x, mu, b)
 
+    # narrow: every symbol is an integer and max - min < len(x), so an integer dtype is tabled.
     @pytest.mark.parametrize(
-        "x,tabled",
+        "x,narrow",
         [
             (np.arange(-3, 5), True),  # range = length - 1
             (np.array([0, 0, 0, 4]), False),  # range = length
@@ -310,8 +313,8 @@ class TestSymbolTableMatchesDirect:
         ],
     )
     @pytest.mark.parametrize("b", [B_MIN, 0.7, 6.0])
-    def test_edge_streams(self, x, tabled, b):
-        assert (_symbol_table(x) is not None) == tabled
+    def test_edge_streams(self, x, narrow, b):
+        assert (_symbol_table(x) is not None) == (narrow and x.dtype.kind in "iu")
         _assert_matches_direct(x, 0.25, b)
 
     @pytest.mark.parametrize(

@@ -8,6 +8,7 @@ import pytest
 from voxgs import SandboxScene, TrainTrace, make_scene, run, step
 from voxgs.model import GROUPS, AttributeLayout, QuantParams
 from voxgs.rate import B_MIN
+import voxgs.rate as rate
 from voxgs.sandbox import measure_rlc_bits
 
 _SQRT2 = math.sqrt(2.0)
@@ -132,6 +133,20 @@ class TestStep:
             grad = (0.2 * np.sign(d) + 2 * 0.8 * d) / dims
             expected = params[name] - lr * grad
             assert np.allclose(scene.params[name], expected, atol=1e-15)
+
+    @pytest.mark.parametrize("lambda3", [1e-4, 0.0])
+    def test_rate_proxy_sees_integer_symbols(self, monkeypatch, lambda3):
+        dtypes = []
+        table = rate._symbol_table
+
+        def spy(x):
+            dtypes.append(x.dtype)
+            return table(x)
+
+        monkeypatch.setattr(rate, "_symbol_table", spy)
+        step(make_scene(anchors=256, lambda3=lambda3))
+        assert len(dtypes) == len(GROUPS)
+        assert all(dtype.kind in "iu" for dtype in dtypes)
 
     def test_non_finite_loss_raises(self):
         scene = _controlled_scene(seed=2)
