@@ -53,11 +53,14 @@ class LaplaceModel:
 
 def fit_laplace(values) -> LaplaceModel:
     """Fit mu and sigma by moments (population variance) and derive b = sigma/sqrt(2)."""
-    arr = np.asarray(values, dtype=np.float64).ravel()
+    arr = np.asarray(values).ravel()
     if arr.size == 0:
         raise ValueError("cannot fit a Laplace model to an empty sequence")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("fit_laplace requires finite input")
+    # Integers whose sums stay below 2**53 sum exactly in any order: no float64 copy needed.
+    if arr.dtype.kind not in "iu" or max(-int(arr.min()), int(arr.max())) * arr.size >= 2**53:
+        arr = np.asarray(arr, dtype=np.float64)
+        if not np.all(np.isfinite(arr)):
+            raise ValueError("fit_laplace requires finite input")
     mu = float(arr.mean())
     sigma = float(arr.std())
     b = max(sigma / _SQRT2, B_MIN)

@@ -127,16 +127,22 @@ class TrainTrace:
 
 
 def _rate_grads(z: np.ndarray):
-    """Total estimated bits of z and its gradient, including the model fit path."""
+    """Total estimated bits of z and its gradient, including the model fit path.
+
+    The gradient is built in place in the arrays nll_bits_and_grads returns.
+    """
     flat = z.ravel()
     n = flat.size
     model = fit_laplace(flat)
     mu, sigma = model.mu, model.sigma
-    f, df_dx, df_dmu, df_db = nll_bits_and_grads(flat, mu, model.b)
-    grad = df_dx + df_dmu.sum() / n
+    f, grad, df_dmu, df_db = nll_bits_and_grads(flat, mu, model.b)
+    bits = float(f.sum())
+    grad += df_dmu.sum() / n
     if sigma * _SQRT2 > B_MIN:  # fit-path b gradient only when the floor is inactive
-        grad += df_db.sum() * (flat - mu) / (n * sigma * _SQRT2)
-    return float(f.sum()), grad.reshape(z.shape)
+        fit = np.subtract(flat, mu, out=f)  # f is summed already
+        fit *= df_db.sum()
+        grad += np.divide(fit, n * sigma * _SQRT2, out=fit)
+    return bits, grad.reshape(z.shape)
 
 
 def step(
@@ -158,24 +164,14 @@ def step(
         p = scene.params[name]
         t = scene.targets[name]
         q = scene.scale(name)
-        if quantize:
-            z = ste_round(p * q)
-            v = z / q
-        else:
-            z = p * q
-            v = p
+        z = ste_round(p * q) if quantize else p * q
 
-        d = v - t
-        l1_sum += float(np.abs(d).sum())
-        sq_sum += float((d * d).sum())
-        elem_total += d.size
-
-        grad = (scene.lambda1 * np.sign(d) + 2.0 * scene.lambda2 * d) / dims_total
-
+        # Rate first, then the distortion in place: with few full-size arrays alive at once
+        # the allocator reuses one region every step instead of faulting fresh pages in.
+        rate_grad = None
         if z.size:
             if include_rate and scene.lambda3 != 0.0:
                 est, rate_grad = _rate_grads(z)
-                grad = grad + scene.lambda3 * rate_grad * q
             else:
                 # Diagnostics only: keep the trace finite without touching gradients.
                 zi = z if quantize else ste_round(z)
@@ -183,6 +179,22 @@ def step(
             est_total += est
             rate_loss_total += est / z.size
 
+        d = z / q if quantize else p.copy()
+        d -= t
+        del z
+        grad = np.abs(d)
+        l1_sum += float(grad.sum())
+        sq_sum += float(np.multiply(d, d, out=grad).sum())
+        elem_total += d.size
+
+        # (lambda1 * sign(d) + 2 * lambda2 * d) / dims_total, plus lambda3 * rate_grad * q.
+        np.sign(d, out=grad)
+        grad *= scene.lambda1
+        grad += np.multiply(d, 2.0 * scene.lambda2, out=d)
+        grad /= dims_total
+        if rate_grad is not None:
+            rate_grad *= scene.lambda3
+            grad += np.multiply(rate_grad, q, out=rate_grad)
         grads[name] = grad
 
     total = (
@@ -196,7 +208,7 @@ def step(
         )
 
     for name in GROUPS:
-        scene.params[name] -= learning_rate * grads[name]
+        scene.params[name] -= np.multiply(grads[name], learning_rate, out=grads[name])
 
     return LossBreakdown(
         l1=l1_sum / dims_total,

@@ -65,6 +65,18 @@ class TestFitLaplace:
         with pytest.raises(ValueError):
             fit_laplace([1.0, np.inf])
 
+    @pytest.mark.parametrize("dtype", [np.int8, np.int32, np.int64, np.uint16, np.uint64])
+    def test_integer_input_fits_like_its_float64_copy(self, dtype):
+        # Integers are fitted without a float64 copy only while their sums are exact;
+        # the int64/uint64 draws of half the range sum past 2**53 and take the copy.
+        rng = np.random.default_rng(61)
+        info = np.iinfo(dtype)
+        small = rng.integers(max(info.min, -50), min(info.max, 50), size=51_200).astype(dtype)
+        wide = rng.integers(info.min // 2, info.max // 2, size=20_000, dtype=dtype)
+        for arr in (small, small[::7], wide):
+            fit, ref = fit_laplace(arr), fit_laplace(arr.astype(np.float64))
+            assert (fit.mu, fit.sigma, fit.b) == (ref.mu, ref.sigma, ref.b)
+
     def test_invalid_scale_rejected(self):
         with pytest.raises(ValueError):
             LaplaceModel(mu=0.0, b=0.0, sigma=0.0)
