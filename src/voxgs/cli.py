@@ -208,6 +208,8 @@ def calibrate(corpus_dir, synthetic, seed):
         _fail(f"{exc} (alpha={exc.alpha:.4f})")
     except (AnchorFileError, VoxgsError, ValueError) as exc:
         _fail(exc)
+    except OSError as exc:
+        _fail(f"cannot read {exc.filename}: {exc.strerror or exc}")
     click.echo("estimated_bits,actual_bits")
     for est, act in zip(result.estimated_bits, result.actual_bits):
         click.echo(f"{est:.2f},{act:.0f}")
@@ -286,10 +288,10 @@ def sandbox(steps, warmup, anchors, lambda1, lambda2, lambda3, lr, seed, out_pre
 
     finals = {}
     for tag, lam3 in (("baseline", 0.0), ("rate", lambda3)):
-        scene = make_scene(
-            seed=seed, anchors=anchors, lambda1=lambda1, lambda2=lambda2, lambda3=lam3
-        )
         try:
+            scene = make_scene(
+                seed=seed, anchors=anchors, lambda1=lambda1, lambda2=lambda2, lambda3=lam3
+            )
             trace = run(scene, steps=steps, warmup=warmup, learning_rate=lr)
             finals[tag] = (measure_rlc_bits(scene), trace.mse[-1])
         except (ValueError, FloatingPointError) as exc:

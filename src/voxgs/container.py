@@ -49,7 +49,7 @@ from .model import (
     QuantParams,
     validate,
 )
-from .quantize import check_int32, dequantize_features, quantize_features, voxelize
+from .quantize import dequantize_features, quantize_features, voxelize
 from .rate import RateReport, estimate_bits, fit_laplace, pearson
 from .rlc import (
     MAX_ELEMENTS,
@@ -79,17 +79,12 @@ def quantize_cloud_kept(fcloud: FloatAnchorCloud, quant: QuantParams):
     Returns (cloud, kept); row i of the cloud comes from input row kept[i].
     """
     voxels, kept, _ = voxelize(fcloud.positions, quant.q_p, fcloud.bbox)
-    rows = {
-        name: check_int32(
-            quantize_features(getattr(fcloud, name)[kept], quant.scale_for(name)), name
-        )
-        for name in GROUPS
-    }
     cloud = AnchorCloud(
         positions=voxels,
-        offsets=rows["offsets"],
-        features=rows["features"],
-        scalings=rows["scalings"],
+        **{
+            name: quantize_features(getattr(fcloud, name)[kept], quant.scale_for(name))
+            for name in GROUPS
+        },
         layout=fcloud.layout,
         quant=quant,
         bbox=fcloud.bbox,

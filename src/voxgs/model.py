@@ -44,6 +44,9 @@ class QuantParams:
         object.__setattr__(self, "q_s", as_fraction(self.q_s))
         if self.q_p <= 0 or self.q_o <= 0 or self.q_a <= 0 or self.q_s <= 0:
             raise ValueError("quant scale must be positive")
+        # The container stores each scale's numerator and denominator as a uint64.
+        if any(max(f.numerator, f.denominator) >= 2**64 for f in (self.q_o, self.q_a, self.q_s)):
+            raise ValueError("quant scale numerator and denominator must be below 2**64")
         if self.q_p > MAX_GRID:
             raise ValueError(
                 f"q_p={self.q_p} exceeds the {MAX_GRID_BITS}-bit grid limit"
@@ -96,10 +99,30 @@ class AttributeLayout:
 
 
 def _as_2d(a, dtype, cols, name):
-    arr = np.asarray(a, dtype=dtype)
+    """a as an (n, cols) dtype array; integer storage takes only values it holds exactly."""
+    arr = np.asarray(a)
     if arr.ndim != 2 or (arr.size and arr.shape[1] != cols):
         raise ValueError(f"{name} must have shape (n, {cols}), got {arr.shape}")
-    return arr.reshape(-1, cols)
+    if arr.dtype != dtype and arr.size and np.issubdtype(dtype, np.integer):
+        if arr.dtype.kind not in "biu":
+            real = np.asarray(arr, dtype=np.float64)
+            if not (np.isfinite(real).all() and (real == np.trunc(real)).all()):
+                raise ValueError(f"{name} must hold finite integers")
+        info = np.iinfo(dtype)
+        # info.max + 1 is a power of two, so float input compares exactly too.
+        if arr.min() < info.min or arr.max() >= info.max + 1:
+            raise ValueError(f"{name} integers overflow {info.dtype} storage")
+    return arr.astype(dtype, copy=False).reshape(-1, cols)
+
+
+def _normalize(cloud, position_dtype, attribute_dtype):
+    """Coerce a cloud's fields in place: positions, the three groups, bbox, blob."""
+    object.__setattr__(cloud, "positions", _as_2d(cloud.positions, position_dtype, 3, "positions"))
+    for name in GROUPS:
+        rows = _as_2d(getattr(cloud, name), attribute_dtype, cloud.layout.dims_for(name), name)
+        object.__setattr__(cloud, name, rows)
+    object.__setattr__(cloud, "bbox", np.asarray(cloud.bbox, dtype=np.float64).reshape(2, 3))
+    object.__setattr__(cloud, "mlp_blob", bytes(cloud.mlp_blob))
 
 
 @dataclass(frozen=True)
@@ -108,7 +131,8 @@ class AnchorCloud:
 
     Positions hold the rounded grid integers, not dequantized reals;
     the bounding box recorded at voxelization time makes dequantization
-    explicit and deterministic.
+    explicit and deterministic. Input of another dtype is stored only if
+    every value is an integer the storage holds; otherwise ValueError.
     """
 
     positions: np.ndarray  # (n, 3) int64, componentwise in [0, q_p)
@@ -121,12 +145,7 @@ class AnchorCloud:
     mlp_blob: bytes = b""
 
     def __post_init__(self):
-        object.__setattr__(self, "positions", _as_2d(self.positions, np.int64, 3, "positions"))
-        object.__setattr__(self, "offsets", _as_2d(self.offsets, np.int32, self.layout.offset_dims, "offsets"))
-        object.__setattr__(self, "features", _as_2d(self.features, np.int32, self.layout.feature_dims, "features"))
-        object.__setattr__(self, "scalings", _as_2d(self.scalings, np.int32, SCALING_DIMS, "scalings"))
-        object.__setattr__(self, "bbox", np.asarray(self.bbox, dtype=np.float64).reshape(2, 3))
-        object.__setattr__(self, "mlp_blob", bytes(self.mlp_blob))
+        _normalize(self, np.int64, np.int32)
         for arr in (self.positions, self.offsets, self.features, self.scalings):
             arr.setflags(write=False)
         self.bbox.setflags(write=False)
@@ -165,12 +184,7 @@ class FloatAnchorCloud:
     mlp_blob: bytes = b""
 
     def __post_init__(self):
-        object.__setattr__(self, "positions", _as_2d(self.positions, np.float64, 3, "positions"))
-        object.__setattr__(self, "offsets", _as_2d(self.offsets, np.float64, self.layout.offset_dims, "offsets"))
-        object.__setattr__(self, "features", _as_2d(self.features, np.float64, self.layout.feature_dims, "features"))
-        object.__setattr__(self, "scalings", _as_2d(self.scalings, np.float64, SCALING_DIMS, "scalings"))
-        object.__setattr__(self, "bbox", np.asarray(self.bbox, dtype=np.float64).reshape(2, 3))
-        object.__setattr__(self, "mlp_blob", bytes(self.mlp_blob))
+        _normalize(self, np.float64, np.float64)
 
     @property
     def anchor_count(self) -> int:

@@ -16,8 +16,6 @@ import numpy as np
 from .geometry import morton_encode
 from .model import MAX_GRID
 
-INT32_MIN = -(2**31)
-INT32_MAX = 2**31 - 1
 INT64_LIMIT = 2.0**63  # rounded magnitudes must stay below this to fit int64
 
 
@@ -61,13 +59,6 @@ def dequantize_features(fq, q_f) -> np.ndarray:
     if scale <= 0:
         raise ValueError("quant scale must be positive")
     return np.asarray(fq, dtype=np.float64) / scale
-
-
-def check_int32(values: np.ndarray, what: str = "attribute") -> np.ndarray:
-    """Narrow quantized integers to the int32 storage width, or fail loudly."""
-    if values.size and (values.min() < INT32_MIN or values.max() > INT32_MAX):
-        raise ValueError(f"{what} integers overflow int32 storage")
-    return values.astype(np.int32)
 
 
 def voxelize(points, q_p: int, bbox):

@@ -175,13 +175,6 @@ def _encode_channels(mat: np.ndarray):
     return token_values, runs, varint_pack(slots)
 
 
-def tokenize_runs(values: np.ndarray):
-    """Split a sequence into (token values, run lengths) with maximal runs."""
-    seq = np.asarray(values, dtype=np.int64).ravel()
-    token_values, runs, _ = _encode_channels(seq[:, None])
-    return token_values, runs
-
-
 def rlc_encode(values) -> RlcStream:
     """Encode a signed integer sequence; empty sequences are allowed."""
     seq = np.asarray(values, dtype=np.int64).ravel()

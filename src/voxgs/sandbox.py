@@ -25,7 +25,7 @@ import numpy as np
 from .container import markov_channels
 from .geometry import morton_encode, sort_by_morton
 from .model import GROUPS, AnchorCloud, AttributeLayout, QuantParams
-from .quantize import check_int32, ste_round
+from .quantize import ste_round
 from .rate import B_MIN, estimate_bits, fit_laplace, nll_bits_and_grads
 from .rlc import encode_attributes
 
@@ -81,12 +81,9 @@ class SandboxScene:
         }
 
     def to_cloud(self) -> AnchorCloud:
-        quant = self.quantized()
         return AnchorCloud(
             positions=self.positions,
-            offsets=check_int32(quant["offsets"]),
-            features=check_int32(quant["features"]),
-            scalings=check_int32(quant["scalings"]),
+            **self.quantized(),
             layout=self.layout,
             quant=self.quant,
             bbox=np.array([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]]),
@@ -274,9 +271,11 @@ def make_scene(
     a rounding boundary (the compressible mass), features are spatially
     correlated Gaussians, scalings are narrow-range and slowly varying.
     """
+    quant = SCENE_QUANT
+    if anchors > quant.q_p**3:
+        raise ValueError(f"anchors={anchors} exceeds the {quant.q_p}^3 voxels of the scene grid")
     rng = np.random.default_rng(seed)
     layout = AttributeLayout(k=k, m=m)
-    quant = SCENE_QUANT
 
     # Distinct Morton-sorted voxel positions.
     pos = rng.integers(0, quant.q_p, size=(anchors * 2, 3), dtype=np.int64)

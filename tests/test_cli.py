@@ -46,6 +46,18 @@ class TestEncode:
         assert result.exit_code == 2
         assert "quant scale must be positive" in result.output
 
+    def test_scale_beyond_uint64_exit_2(self, runner, anchor_file, tmp_path):
+        out = tmp_path / "o.vxgs"
+        result = runner.invoke(
+            main, ["encode", str(anchor_file), str(out), "--qo", "1/18446744073709551616"]
+        )
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert [line for line in result.output.splitlines() if line.startswith("error:")] == [
+            "error: quant scale numerator and denominator must be below 2**64"
+        ]
+        assert not out.exists()
+
     def test_malformed_input(self, runner, tmp_path):
         bad = tmp_path / "bad.txt"
         bad.write_text("not an anchor file\n")
@@ -183,6 +195,15 @@ class TestCalibrate:
         result = runner.invoke(main, ["calibrate", "--corpus", str(corpus)])
         assert result.exit_code == 0, result.output
         assert "alpha=" in result.output
+
+    def test_unreadable_corpus_entry_exit_2(self, runner, tmp_path):
+        corpus = tmp_path / "corpus"
+        (corpus / "nested").mkdir(parents=True)
+        result = runner.invoke(main, ["calibrate", "--corpus", str(corpus)])
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert result.output.startswith(f"error: cannot read {corpus / 'nested'}: ")
+        assert len(result.output.splitlines()) == 1
 
 
 class TestSweep:
@@ -332,6 +353,16 @@ class TestSandbox:
         assert result.exit_code == 2, result.output
         assert isinstance(result.exception, SystemExit)
         assert "Invalid value" in result.output
+
+    def test_more_anchors_than_voxels_exit_2(self, runner):
+        # 256**3 + 1 anchors cannot be distinct on the scene's 256^3 grid.
+        result = runner.invoke(
+            main, ["sandbox", "--steps", "3", "--warmup", "1", "--anchors", "16777217"]
+        )
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert len(result.output.splitlines()) == 1
+        assert result.output.startswith("error: baseline run failed: anchors=16777217 exceeds")
 
     def test_negative_seed_exit_2(self, runner):
         result = runner.invoke(

@@ -1,10 +1,19 @@
+import warnings
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from voxgs import AnchorCloud, AttributeLayout, QuantParams, validate
-from voxgs.model import MAX_GRID, as_fraction
+from voxgs import (
+    AnchorCloud,
+    AttributeLayout,
+    QuantParams,
+    decode_container,
+    encode_container,
+    validate,
+)
+from voxgs.model import GROUPS, MAX_GRID, as_fraction
 
 
 def _cloud(positions, q_p=4, k=1, m=2, **kwargs):
@@ -37,6 +46,15 @@ class TestQuantParams:
         QuantParams(q_p=MAX_GRID)
         with pytest.raises(ValueError):
             QuantParams(q_p=MAX_GRID + 1)
+
+    def test_scale_terms_fit_the_container(self):
+        # The container writes each numerator and denominator as a uint64 varint.
+        widest = QuantParams(q_p=4, q_o=Fraction(1, 2**64 - 1), q_s=Fraction(2**64 - 1))
+        cloud = _cloud([[0, 0, 0], [1, 2, 3]], quant=widest)
+        assert decode_container(encode_container(cloud)).equals(cloud)
+        for scale in (Fraction(1, 2**64), Fraction(2**64), Fraction(2**64 + 1, 3)):
+            with pytest.raises(ValueError, match=r"below 2\*\*64"):
+                QuantParams(q_p=4, q_o=scale)
 
     def test_depth(self):
         assert QuantParams(q_p=1).depth == 0
@@ -104,6 +122,65 @@ class TestAnchorCloud:
         assert a.equals(b)
         assert not a.equals(c)
         assert not a.equals(_cloud([[0, 0, 0], [1, 2, 3]], mlp_blob=b"x"))
+
+
+def _rows(group, values, dtype, n=1):
+    """n rows of the _cloud layout's group, each holding values cyclically."""
+    dims = AttributeLayout(k=1, m=2).dims_for(group)
+    return np.resize(np.array(values, dtype=dtype), (n, dims))
+
+
+class TestAnchorCloudStorage:
+    """Integer storage takes only values it holds exactly, else ValueError."""
+
+    def test_narrows(self):
+        cloud = _cloud([[0, 0, 0]], features=np.array([[1, -2]], dtype=np.int64))
+        assert cloud.features.dtype == np.int32
+        assert cloud.features.tolist() == [[1, -2]]
+
+    def test_overflow_raises(self):
+        with pytest.raises(ValueError, match="features integers overflow int32 storage"):
+            _cloud([[0, 0, 0]], features=np.array([[2**31, 0]], dtype=np.int64))
+
+    @pytest.mark.parametrize("value", [2**31, -(2**31) - 1])
+    @pytest.mark.parametrize("group", GROUPS)
+    def test_int64_beyond_int32_raises(self, group, value):
+        with pytest.raises(ValueError, match=f"^{group} integers overflow int32 storage$"):
+            _cloud([[0, 0, 0]], **{group: _rows(group, [0, value], np.int64)})
+
+    def test_int32_extremes_round_trip(self):
+        extremes = [2**31 - 1, -(2**31)]
+        groups = {g: _rows(g, extremes, np.int64, n=2) for g in GROUPS}
+        cloud = _cloud([[0, 0, 0], [1, 2, 3]], **groups)
+        decoded = decode_container(encode_container(cloud))
+        assert decoded.equals(cloud)
+        for g in GROUPS:
+            assert np.array_equal(decoded.group(g), groups[g])
+
+    @pytest.mark.parametrize("value", [1.5, np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("group", GROUPS)
+    def test_non_integral_raises_without_warning(self, group, value):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"^{group} must hold finite integers$"):
+                _cloud([[0, 0, 0]], **{group: _rows(group, [0.0, value], np.float64)})
+
+    def test_non_finite_positions_raise(self):
+        with pytest.raises(ValueError, match="^positions must hold finite integers$"):
+            replace(_cloud([[0, 0, 0]]), positions=np.array([[0.0, np.nan, 1.0]]))
+
+    def test_uint64_positions_beyond_int64_raise(self):
+        with pytest.raises(ValueError, match="^positions integers overflow int64 storage$"):
+            replace(_cloud([[0, 0, 0]]), positions=np.array([[2**63, 0, 0]], dtype=np.uint64))
+
+    def test_integral_floats_accepted(self):
+        cloud = replace(
+            _cloud([[0, 0, 0]]),
+            positions=np.array([[1.0, -0.0, 2.0]]),
+            features=np.array([[1.0, -0.0]]),
+        )
+        assert cloud.positions.dtype == np.int64 and cloud.positions.tolist() == [[1, 0, 2]]
+        assert cloud.features.dtype == np.int32 and cloud.features.tolist() == [[1, 0]]
 
 
 class TestValidate:

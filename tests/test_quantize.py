@@ -17,7 +17,7 @@ from voxgs import (
     quantize_positions,
     ste_round,
 )
-from voxgs.quantize import check_int32, voxelize
+from voxgs.quantize import voxelize
 
 
 def _sign_multiply_round(x):
@@ -145,16 +145,6 @@ class TestDequantizeFeatures:
             once = quantize_features(f, q_f)
             again = quantize_features(dequantize_features(once, q_f), q_f)
             assert np.array_equal(once, again)
-
-
-class TestCheckInt32:
-    def test_narrows(self):
-        out = check_int32(np.array([1, -2], dtype=np.int64))
-        assert out.dtype == np.int32
-
-    def test_overflow_raises(self):
-        with pytest.raises(ValueError):
-            check_int32(np.array([2**31], dtype=np.int64))
 
 
 class TestQuantizePositions:

@@ -17,7 +17,6 @@ from voxgs.errors import CorruptStreamError
 from voxgs.geometry import sort_by_morton
 from voxgs.rlc import (
     read_varints,
-    tokenize_runs,
     varint_pack,
     varint_unpack_all,
     zigzag_decode,
@@ -210,9 +209,9 @@ class TestRlcEncode:
         assert abs(len(stream.serialized) - predicted) <= 0.15 * predicted
 
     def test_tokenize_runs(self):
-        vals, runs = tokenize_runs(np.array([1, 1, 2, 2, 2, 1]))
-        assert vals.tolist() == [1, 2, 1]
-        assert runs.tolist() == [2, 3, 1]
+        stream = rlc_encode(np.array([1, 1, 2, 2, 2, 1]))
+        assert stream.values.tolist() == [1, 2, 1]
+        assert stream.run_lengths.tolist() == [2, 3, 1]
 
 
 class TestRlcDecode:

@@ -202,6 +202,11 @@ class TestRun:
                 h.update(tensors[name].tobytes())
         assert h.hexdigest() == digest
 
+    def test_make_scene_more_anchors_than_voxels_raises(self):
+        # Distinct positions on the 256^3 scene grid run out at 256**3 anchors.
+        with pytest.raises(ValueError, match="exceeds the 256\\^3 voxels"):
+            make_scene(anchors=256**3 + 1)
+
     @pytest.mark.parametrize(
         "lambda3,digest",
         [
