@@ -21,6 +21,7 @@ from .sandbox import make_scene, measure_rlc_bits, run
 EXIT_INPUT = 2
 EXIT_CORRUPT = 3
 
+MAX_SYNTHETIC_SCENES = 10_000  # calibrate --synthetic: 200x acceptance check 2's corpus
 PRESETS = {
     "synthetic-nerf": {"q_p": 1024},
     "large-scene": {"q_p": 200},
@@ -128,18 +129,26 @@ def encode(input_path, output_path, qp, qo, qa, qs, preset):
         click.echo(f"  {key:<4}{bits[key] // 8:>10} bytes  {shares[key]:6.2f}%")
 
 
+def _read_container(path, parse):
+    """parse(the bytes of path); an unreadable file exits 2, a corrupt container 3."""
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except OSError as exc:
+        _fail(f"cannot read {path}: {exc.strerror or exc}")
+    try:
+        return parse(data)
+    except CorruptStreamError as exc:
+        click.echo(f"corrupt container: {exc}", err=True)
+        sys.exit(EXIT_CORRUPT)
+
+
 @main.command()
 @click.argument("input_path", type=click.Path(exists=True, dir_okay=False))
 @click.argument("output_path", type=click.Path(dir_okay=False, writable=True))
 def decode(input_path, output_path):
     """Decode a container to a dequantized anchor file."""
-    with open(input_path, "rb") as fh:
-        data = fh.read()
-    try:
-        cloud = cont.decode_container(data)
-    except CorruptStreamError as exc:
-        click.echo(f"corrupt container: {exc}", err=True)
-        sys.exit(EXIT_CORRUPT)
+    cloud = _read_container(input_path, cont.decode_container)
     fcloud = cont.dequantize_cloud(cloud)
     _atomic_write(output_path, lambda tmp: cont.write_anchor_file(tmp, fcloud))
     click.echo(f"wrote {output_path}: {cloud.anchor_count} anchors")
@@ -150,13 +159,7 @@ def decode(input_path, output_path):
 @click.option("--format", "fmt", type=click.Choice(["text", "kv"]), default="text")
 def analyze(input_path, fmt):
     """Print the rate report for a container."""
-    with open(input_path, "rb") as fh:
-        data = fh.read()
-    try:
-        report = cont.analyze_container(data)
-    except CorruptStreamError as exc:
-        click.echo(f"corrupt container: {exc}", err=True)
-        sys.exit(EXIT_CORRUPT)
+    report = _read_container(input_path, cont.analyze_container)
     click.echo(report.to_text() if fmt == "text" else report.to_kv())
 
 
@@ -195,7 +198,8 @@ def _corpus_sequences(corpus_dir, synthetic, seed):
 
 @main.command()
 @click.option("--corpus", "corpus_dir", type=click.Path(exists=True, file_okay=False), default=None)
-@click.option("--synthetic", type=int, default=0, help="Generate N synthetic scenes instead.")
+@click.option("--synthetic", type=click.IntRange(max=MAX_SYNTHETIC_SCENES), default=0,
+              help="Generate N synthetic scenes instead.")
 @click.option("--seed", type=click.IntRange(min=0), default=0)
 def calibrate(corpus_dir, synthetic, seed):
     """Fit alpha and report the estimate/actual correlation over a corpus."""
@@ -208,8 +212,6 @@ def calibrate(corpus_dir, synthetic, seed):
         _fail(f"{exc} (alpha={exc.alpha:.4f})")
     except (AnchorFileError, VoxgsError, ValueError) as exc:
         _fail(exc)
-    except OSError as exc:
-        _fail(f"cannot read {exc.filename}: {exc.strerror or exc}")
     click.echo("estimated_bits,actual_bits")
     for est, act in zip(result.estimated_bits, result.actual_bits):
         click.echo(f"{est:.2f},{act:.0f}")

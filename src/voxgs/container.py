@@ -39,7 +39,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import AnchorFileError, CorruptStreamError
-from .geometry import OctreePayload, morton_encode, octree_decode, octree_encode, sort_by_morton
+from .geometry import OctreePayload, morton_encode, octree_decode, octree_encode
 from .model import (
     GROUPS,
     MAX_GRID,
@@ -119,9 +119,13 @@ def encode_container(cloud: AnchorCloud) -> bytes:
     report = validate(cloud)
     if not report.valid:
         raise ValueError("invalid cloud: " + "; ".join(report.findings))
-    cloud = sort_by_morton(cloud)
+    # The decoder refuses anything beyond MAX_ELEMENTS, so the encoder does too.
+    if cloud.anchor_count * cloud.layout.total_dims > MAX_ELEMENTS:
+        raise ValueError(f"attribute volume exceeds the decoder limit {MAX_ELEMENTS}")
 
     octree = octree_encode(cloud.positions, cloud.quant.depth)
+    if len(octree.occupancy_bytes) > MAX_ELEMENTS:
+        raise ValueError(f"octree occupancy exceeds the decoder limit {MAX_ELEMENTS}")
     geometry = rlc_encode(np.frombuffer(octree.occupancy_bytes, dtype=np.uint8)).serialized
     payloads, _bits = encode_attributes(cloud)
 
@@ -295,14 +299,16 @@ def write_anchor_file(path, fcloud: FloatAnchorCloud) -> None:
         if fcloud.mlp_blob:
             fh.write("mlp " + binascii.hexlify(fcloud.mlp_blob).decode() + "\n")
         rows = np.hstack([fcloud.positions, fcloud.offsets, fcloud.features, fcloud.scalings])
-        for row in rows:
-            fh.write(" ".join(f"{v:.17g}" for v in row) + "\n")
+        np.savetxt(fh, rows, fmt="%.17g")
 
 
 def read_anchor_file(path) -> FloatAnchorCloud:
     """Parse the documented tabular anchor format, validating as it goes."""
-    with open(path) as fh:
-        lines = fh.read().splitlines()
+    try:
+        with open(path) as fh:
+            lines = fh.read().splitlines()
+    except OSError as exc:
+        raise AnchorFileError(f"cannot read {path}: {exc.strerror or exc}") from exc
 
     def fail(lineno, message):
         raise AnchorFileError(message, line=lineno)

@@ -76,12 +76,12 @@ def morton_decode(codes) -> np.ndarray:
 def sort_by_morton(cloud: AnchorCloud) -> AnchorCloud:
     """Permute anchors into ascending Morton order, carrying attribute rows."""
     codes = morton_encode(cloud.positions)
+    if np.all(codes[1:] > codes[:-1]):  # sorted and so duplicate-free, as quantized clouds are
+        return cloud
     order = np.argsort(codes, kind="stable")
     codes = codes[order]
     if np.any(codes[1:] == codes[:-1]):
         raise ValueError("cloud contains duplicate positions")
-    if np.array_equal(order, np.arange(order.size)):
-        return cloud
     return replace(
         cloud,
         positions=cloud.positions[order],
@@ -145,9 +145,9 @@ def octree_decode(payload: OctreePayload) -> np.ndarray:
         pos += count
         if np.any(occ == 0):
             raise CorruptStreamError("zero occupancy byte at internal node")
-        bits = np.unpackbits(occ[:, None], axis=1, bitorder="little").astype(bool)
-        children = (nodes[:, None] << _U(3)) + np.arange(8, dtype=np.uint64)[None, :]
-        nodes = children[bits]
+        # Set bit j of byte i is child j of node i, in breadth-first order.
+        slots = np.flatnonzero(np.unpackbits(occ, bitorder="little"))
+        nodes = (nodes[slots >> 3] << _U(3)) | (slots & 7).astype(np.uint64)
         # Levels never shrink, so a level above point_count cannot end there;
         # failing here keeps each level's allocation within 8 * point_count.
         if nodes.size > payload.point_count:

@@ -47,10 +47,7 @@ def quantize_features(f, q_f) -> np.ndarray:
     scale = float(Fraction(q_f) if not isinstance(q_f, Fraction) else q_f)
     if scale <= 0:
         raise ValueError("quant scale must be positive")
-    arr = np.asarray(f, dtype=np.float64)
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("quantize_features requires finite input")
-    return ste_round(arr * scale)
+    return ste_round(np.asarray(f, dtype=np.float64) * scale)
 
 
 def dequantize_features(fq, q_f) -> np.ndarray:
@@ -68,9 +65,9 @@ def voxelize(points, q_p: int, bbox):
     clamped to the half-open grid (the bbox max corner lands on q_p - 1).
 
     Returns (voxels, kept, dup_map): voxels is the duplicate-free (m, 3)
-    int64 grid array keeping the first occurrence of each voxel in input
-    order, kept holds the input index of that first occurrence for each
-    voxel row, and dup_map maps every input index to its surviving voxel row.
+    int64 grid array in ascending Morton order, the order the octree codes
+    and decode_container returns; kept holds the input index of each voxel's
+    first occurrence, and dup_map maps every input index to its voxel row.
     """
     if q_p <= 0:
         raise ValueError("q_p must be positive")
@@ -94,13 +91,10 @@ def voxelize(points, q_p: int, bbox):
     grid = ste_round((pts - lo) / extent * q_p)
     np.clip(grid, 0, q_p - 1, out=grid)
 
-    # Morton codes are injective on the grid, so they key voxels in 1-D.
-    _, first_idx, inverse = np.unique(
-        morton_encode(grid), return_index=True, return_inverse=True
-    )
-    # np.unique sorts; restore first-occurrence input order.
-    kept = np.sort(first_idx)
-    return grid[kept], kept, np.searchsorted(kept, first_idx)[inverse]
+    # Morton codes are injective on the grid, so they key voxels in 1-D, and
+    # np.unique's sorted order is Morton order.
+    _, kept, dup_map = np.unique(morton_encode(grid), return_index=True, return_inverse=True)
+    return grid[kept], kept, dup_map
 
 
 def quantize_positions(points, q_p: int, bbox):

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CorruptStreamError
-from .geometry import morton_encode
+from .geometry import sort_by_morton
 from .model import GROUPS, AnchorCloud, AttributeLayout
 
 # Decoders refuse element counts above this to keep allocations bounded on
@@ -246,18 +246,15 @@ def rlc_decode(data, max_elements: int = MAX_ELEMENTS) -> np.ndarray:
 
 
 def encode_attributes(cloud: AnchorCloud):
-    """RLC-encode the three attribute groups of a Morton-sorted cloud.
+    """RLC-encode the three attribute groups, rows sorted into Morton order first.
 
-    Channels are serialized channel-major: within each group, all anchors'
-    channel 0, then channel 1, and so on, each channel an independent stream.
-    Each group is tokenized and serialized in one pass; the bytes are those
-    of the per-channel streams concatenated.
-    Returns (payloads, bits) dicts keyed by group name.
+    Morton order is the octree's leaf order, which the decoder returns. Channels
+    are serialized channel-major: within each group, all anchors' channel 0,
+    then channel 1, and so on, each channel an independent stream. Each group
+    is tokenized and serialized in one pass; the bytes are those of the
+    per-channel streams concatenated. Returns (payloads, bits) keyed by group.
     """
-    if cloud.anchor_count > 1:
-        codes = morton_encode(cloud.positions)
-        if not np.all(codes[1:] > codes[:-1]):
-            raise ValueError("cloud must be sorted in Morton order before attribute coding")
+    cloud = sort_by_morton(cloud)
     payloads = {}
     bits = {}
     for name in GROUPS:

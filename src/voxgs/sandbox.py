@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .container import markov_channels
-from .geometry import morton_encode, sort_by_morton
+from .geometry import morton_encode
 from .model import GROUPS, AnchorCloud, AttributeLayout, QuantParams
 from .quantize import ste_round
 from .rate import B_MIN, estimate_bits, fit_laplace, nll_bits_and_grads
@@ -219,8 +219,7 @@ def step(
 
 def measure_rlc_bits(scene: SandboxScene) -> int:
     """Actual attribute bits of the current quantized state under RLC."""
-    cloud = sort_by_morton(scene.to_cloud())
-    _, bits = encode_attributes(cloud)
+    _, bits = encode_attributes(scene.to_cloud())
     return sum(bits.values())
 
 

@@ -206,6 +206,52 @@ class TestCalibrate:
         assert len(result.output.splitlines()) == 1
 
 
+    def test_synthetic_above_cap_exit_2(self, runner):
+        for count in ("10001", "100000000"):
+            result = runner.invoke(main, ["calibrate", "--synthetic", count])
+            assert result.exit_code == 2, result.output
+            assert isinstance(result.exception, SystemExit)
+            assert "Invalid value for '--synthetic'" in result.output
+
+
+# Reading /proc/self/mem from offset 0 passes click's existence and access
+# checks, then fails with EIO.
+UNREADABLE = "/proc/self/mem"
+
+
+@pytest.mark.skipif(not os.path.exists(UNREADABLE), reason="needs /proc/self/mem")
+class TestUnreadableInput:
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["encode", UNREADABLE, "OUT"],
+            ["decode", UNREADABLE, "OUT"],
+            ["analyze", UNREADABLE],
+            ["sweep", "--axis", "q_p", "--values", "128", "--input", UNREADABLE],
+        ],
+        ids=["encode", "decode", "analyze", "sweep"],
+    )
+    def test_exit_2_naming_the_path(self, runner, tmp_path, args):
+        out = tmp_path / "out"
+        result = runner.invoke(main, [str(out) if a == "OUT" else a for a in args])
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert len(result.output.splitlines()) == 1
+        assert result.output.startswith(f"error: cannot read {UNREADABLE}: ")
+        assert not out.exists()
+
+    def test_calibrate_corpus_entry(self, runner, tmp_path):
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        (corpus / "mem").symlink_to(UNREADABLE)
+        result = runner.invoke(main, ["calibrate", "--corpus", str(corpus)])
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert result.output.splitlines() == [
+            f"error: cannot read {corpus / 'mem'}: Input/output error"
+        ]
+
+
 class TestSweep:
     def test_qp_sweep_csv(self, runner):
         result = runner.invoke(

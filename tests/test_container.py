@@ -1,11 +1,17 @@
 import dataclasses
+import errno
+import os
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from voxgs import container as cont
 from voxgs import (
+    AnchorCloud,
     AttributeLayout,
+    FloatAnchorCloud,
     QuantParams,
     decode_container,
     dequantize_cloud,
@@ -18,8 +24,9 @@ from voxgs import (
 from voxgs.container import MAGIC, analyze_container, quantize_cloud_kept, repeat_probability
 from voxgs.errors import AnchorFileError, CorruptStreamError
 from voxgs.geometry import sort_by_morton
+from voxgs.model import GROUPS
 from voxgs.quantize import quantize_positions
-from voxgs.rlc import rlc_encode
+from voxgs.rlc import MAX_ELEMENTS, rlc_encode
 from tests.conftest import assemble_container, random_cloud
 
 BOX = np.array([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]])
@@ -122,6 +129,51 @@ class TestContainerRoundTrip:
         with pytest.raises(ValueError, match="bounding box has non-finite values"):
             encode_container(dataclasses.replace(cloud, bbox=bbox))
 
+    @pytest.mark.parametrize(
+        "anchors,q_p", [(0, 256), (1, 256), (50, 1024), (400, 256), (2000, 4), (3000, 2)]
+    )
+    def test_quantized_clouds_decode_to_themselves(self, anchors, q_p):
+        # Quantized clouds come out in the decoder's Morton order, whatever the
+        # input row order; q_p of 2 and 4 pile hundreds of anchors on each voxel.
+        for seed in range(3):
+            fcloud = _float_cloud(seed=seed, anchors=anchors)
+            order = np.random.default_rng(seed).permutation(anchors)
+            shuffled = dataclasses.replace(
+                fcloud, **{f: getattr(fcloud, f)[order] for f in ("positions", *GROUPS)}
+            )
+            cloud = quantize_cloud(shuffled, QuantParams(q_p=q_p))
+            assert decode_container(encode_container(cloud)).equals(cloud)
+
+    def test_attribute_volume_beyond_decoder_limit_rejected(self):
+        # 257 x 262150 is 67,372,550 elements, just over MAX_ELEMENTS. The
+        # groups are zero pages that the check must not touch.
+        layout = AttributeLayout(k=1 << 16, m=1 << 16)
+        n = 257
+        cloud = AnchorCloud(
+            positions=np.column_stack([np.arange(n), np.zeros(n), np.zeros(n)]).astype(np.int64),
+            **{g: np.zeros((n, layout.dims_for(g)), dtype=np.int32) for g in GROUPS},
+            layout=layout,
+            quant=QuantParams(q_p=512),
+            bbox=BOX,
+        )
+        assert n * layout.total_dims > MAX_ELEMENTS
+        with pytest.raises(ValueError, match="attribute volume exceeds the decoder limit"):
+            encode_container(cloud)
+
+    def test_occupancy_beyond_decoder_limit_rejected(self, monkeypatch):
+        # With the limit at 1000, 60 scattered anchors at depth 21 keep their
+        # attribute volume (600) within it but need about 1100 occupancy bytes,
+        # more than the decoder's min(anchor_count * depth, limit) allows.
+        cloud = random_cloud(
+            np.random.default_rng(78), n=60, depth=21, layout=AttributeLayout(k=1, m=1)
+        )
+        blob = encode_container(cloud)
+        monkeypatch.setattr(cont, "MAX_ELEMENTS", 1000)
+        with pytest.raises(CorruptStreamError):
+            decode_container(blob)
+        with pytest.raises(ValueError, match="octree occupancy exceeds the decoder limit"):
+            encode_container(cloud)
+
     def test_header_accounts_for_every_byte(self):
         cloud = random_cloud(np.random.default_rng(75), n=50)
         blob = encode_container(cloud)
@@ -213,6 +265,40 @@ class TestAnchorFile:
         assert np.array_equal(back.features, fcloud.features)
         assert np.array_equal(back.scalings, fcloud.scalings)
         assert back.mlp_blob == fcloud.mlp_blob
+
+    def test_rows_written_as_17_significant_digits(self, tmp_path):
+        edge = [0.0, -0.0, 5e-324, -2.2250738585072009e-308, 1.7976931348623157e308, 0.1, -1 / 3]
+        layout = AttributeLayout(k=1, m=2)
+        od, m = layout.offset_dims, layout.m
+        row = np.resize(edge, 3 + layout.total_dims)
+        for rows in (row[None, :], np.vstack([row, -row[::-1], row]), row[None, :][:0]):
+            fcloud = FloatAnchorCloud(
+                positions=rows[:, :3],
+                offsets=rows[:, 3 : 3 + od],
+                features=rows[:, 3 + od : 3 + od + m],
+                scalings=rows[:, 3 + od + m :],
+                layout=layout,
+                bbox=BOX,
+            )
+            path = tmp_path / "edge.txt"
+            write_anchor_file(path, fcloud)
+            lines = path.read_text().splitlines()
+            want = [" ".join(f"{v:.17g}" for v in r) for r in rows]
+            assert lines[len(lines) - len(want) :] == want
+            assert lines[4] == "bbox 0 0 0 1 1 1"
+            assert len(lines) == 5 + len(want)
+
+    def test_unreadable_file_names_its_path(self, tmp_path, monkeypatch):
+        path = tmp_path / "scene.txt"
+        write_anchor_file(path, _float_cloud(anchors=3))
+
+        def failing_open(*args, **kwargs):
+            raise OSError(errno.EIO, os.strerror(errno.EIO))
+
+        monkeypatch.setattr(cont, "open", failing_open, raising=False)
+        message = f"cannot read {path}: {os.strerror(errno.EIO)}"
+        with pytest.raises(AnchorFileError, match=f"^{re.escape(message)}$"):
+            read_anchor_file(path)
 
     def test_row_width_arithmetic(self, tmp_path):
         path = tmp_path / "two.txt"

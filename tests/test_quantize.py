@@ -162,10 +162,11 @@ class TestQuantizePositions:
 
     def test_first_wins_order(self):
         pts = np.array([[0.9, 0.9, 0.9], [0.1, 0.1, 0.1], [0.9, 0.9, 0.9]])
-        voxels, dup_map = quantize_positions(pts, 16, self.BOX)
-        # First-occurrence order, not sorted order.
-        assert voxels[0].tolist() == [14, 14, 14]
-        assert dup_map.tolist() == [0, 1, 0]
+        voxels, kept, dup_map = voxelize(pts, 16, self.BOX)
+        # Morton order, not input order; the (14, 14, 14) voxel keeps input row 0.
+        assert voxels.tolist() == [[2, 2, 2], [14, 14, 14]]
+        assert kept.tolist() == [1, 0]
+        assert dup_map.tolist() == [1, 0, 1]
 
     def test_outside_bbox_rejected(self):
         with pytest.raises(ValueError):

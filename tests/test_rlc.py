@@ -322,7 +322,7 @@ class TestAttributeCoding:
         for name in ("offsets", "features", "scalings"):
             assert bits[name] == 8 * len(payloads[name])
 
-    def test_unsorted_cloud_rejected(self):
+    def test_unsorted_cloud_coded_in_morton_order(self):
         from voxgs import AnchorCloud
 
         cloud = sort_by_morton(random_cloud(np.random.default_rng(53), n=50))
@@ -335,8 +335,8 @@ class TestAttributeCoding:
             quant=cloud.quant,
             bbox=cloud.bbox,
         )
-        with pytest.raises(ValueError):
-            encode_attributes(rev)
+        assert encode_attributes(rev) == encode_attributes(sort_by_morton(rev))
+        assert encode_attributes(rev) == encode_attributes(cloud)
 
     def test_zero_anchor_count(self):
         cloud = sort_by_morton(random_cloud(np.random.default_rng(54), n=0))

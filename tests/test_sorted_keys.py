@@ -7,6 +7,8 @@ compared here with a reference copy of the row-wise or per-level np.unique
 implementation it replaced; the references are kept as the oracle.
 """
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -44,7 +46,11 @@ def octree_bytes_reference(positions, depth):
 
 
 def voxelize_reference(points, q_p, bbox):
-    """(voxels, kept, dup_map) from a row-wise np.unique(axis=0) of the grid."""
+    """(voxels, kept, dup_map) from a row-wise np.unique(axis=0) of the grid.
+
+    The unique rows are reordered by their Morton codes, the row order of
+    every quantized cloud.
+    """
     pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
     lo, hi = np.asarray(bbox, dtype=np.float64).reshape(2, 3)
     grid = ste_round((pts - lo) / (hi - lo) * q_p)
@@ -52,7 +58,7 @@ def voxelize_reference(points, q_p, bbox):
     if grid.shape[0] == 0:
         return grid, np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
     uniq, first_idx, inverse = np.unique(grid, axis=0, return_index=True, return_inverse=True)
-    order = np.argsort(first_idx, kind="stable")
+    order = np.argsort(morton_encode(uniq), kind="stable")
     rank = np.empty_like(order)
     rank[order] = np.arange(order.size)
     return uniq[order], first_idx[order], rank[inverse.ravel()]
@@ -179,3 +185,21 @@ def test_quantize_and_encode_sort_positions_without_row_wise_unique(monkeypatch)
     assert len(calls) == 1
     nargs, kwargs = calls[0]
     assert nargs < 5 and "axis" not in kwargs
+
+
+def test_quantize_and_encode_compute_morton_codes_three_times(monkeypatch):
+    # voxelize keys voxels, octree_encode sorts leaves and encode_attributes
+    # checks the row order once; a quantized cloud is never re-sorted.
+    fcloud = generate_synthetic(seed=0, anchors=2000, layout=AttributeLayout(k=2, m=4))
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(1)
+        return morton_encode(*args, **kwargs)
+
+    modules = [mod for name, mod in sys.modules.items() if name.split(".")[0] == "voxgs"]
+    for module in modules:
+        if getattr(module, "morton_encode", None) is morton_encode:
+            monkeypatch.setattr(module, "morton_encode", spy)
+    encode_container(quantize_cloud(fcloud, QuantParams(q_p=1024)))
+    assert len(calls) == 3
