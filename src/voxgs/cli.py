@@ -22,6 +22,9 @@ EXIT_INPUT = 2
 EXIT_CORRUPT = 3
 
 MAX_SYNTHETIC_SCENES = 10_000  # calibrate --synthetic: 200x acceptance check 2's corpus
+SWEEP_LAYOUT = AttributeLayout(k=10, m=50)
+# sweep --synthetic: the most anchors of SWEEP_LAYOUT that encode_container accepts.
+MAX_SWEEP_ANCHORS = cont.MAX_ELEMENTS // SWEEP_LAYOUT.total_dims
 PRESETS = {
     "synthetic-nerf": {"q_p": 1024},
     "large-scene": {"q_p": 200},
@@ -238,7 +241,8 @@ def _sweep_point(fcloud, quant: QuantParams):
 @click.option("--axis", type=click.Choice(["q_p", "q_o", "q_a", "q_s"]), required=True)
 @click.option("--values", required=True, help="Comma-separated list, e.g. 128,256,512.")
 @click.option("--input", "input_path", type=click.Path(exists=True, dir_okay=False), default=None)
-@click.option("--synthetic", type=int, default=0, help="Anchor count for a synthetic scene.")
+@click.option("--synthetic", type=click.IntRange(max=MAX_SWEEP_ANCHORS), default=0,
+              help="Anchor count for a synthetic scene.")
 @click.option("--seed", type=click.IntRange(min=0), default=0)
 @quant_options
 def sweep(axis, values, input_path, synthetic, seed, qp, qo, qa, qs, preset):
@@ -251,7 +255,7 @@ def sweep(axis, values, input_path, synthetic, seed, qp, qo, qa, qs, preset):
             fcloud = cont.read_anchor_file(input_path)
         else:
             fcloud = cont.generate_synthetic(
-                seed=seed, anchors=synthetic, layout=AttributeLayout(k=10, m=50), run_bias=0.5
+                seed=seed, anchors=synthetic, layout=SWEEP_LAYOUT, run_bias=0.5
             )
         points = []
         for raw in values.split(","):

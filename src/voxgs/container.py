@@ -32,8 +32,10 @@ Anchor text file format (one value per whitespace-separated column):
 from __future__ import annotations
 
 import binascii
+import itertools
 import re
 import struct
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -303,68 +305,164 @@ def write_anchor_file(path, fcloud: FloatAnchorCloud) -> None:
 
 
 def read_anchor_file(path) -> FloatAnchorCloud:
-    """Parse the documented tabular anchor format, validating as it goes."""
+    """Parse the documented tabular anchor format, validating as it goes.
+
+    A well-formed file is parsed by one np.loadtxt call as it streams in.
+    Any other file is parsed line by line, which gives the same result and
+    is the parse that names the line of an error.
+    """
     try:
-        with open(path) as fh:
-            lines = fh.read().splitlines()
+        with open(path, encoding="utf-8") as fh:
+            parsed = _bulk_rows(fh)
+        if parsed is None:
+            with open(path, "rb") as fh:
+                parsed = _checked_rows(fh.read())
     except OSError as exc:
         raise AnchorFileError(f"cannot read {path}: {exc.strerror or exc}") from exc
+
+    header, rows = parsed
+    bbox = np.array(header.bbox).reshape(2, 3)
+    if np.any(bbox[1] <= bbox[0]):
+        raise AnchorFileError("bbox max must exceed bbox min on every axis", line=header.idx)
+    od, m = header.layout.offset_dims, header.layout.m
+    return FloatAnchorCloud(
+        positions=rows[:, :3],
+        offsets=rows[:, 3 : 3 + od],
+        features=rows[:, 3 + od : 3 + od + m],
+        scalings=rows[:, 3 + od + m :],
+        layout=header.layout,
+        bbox=bbox,
+        mlp_blob=header.mlp_blob,
+    )
+
+
+@dataclass(frozen=True)
+class _AnchorHeader:
+    n: int
+    layout: AttributeLayout
+    bbox: list
+    mlp_blob: bytes
+    idx: int  # 0-based index of the first line after the header
+
+    @property
+    def width(self) -> int:
+        return 3 + self.layout.total_dims
+
+
+def _parse_anchor_header(lines):
+    """(_AnchorHeader, first data line or None) from an iterator over a file's lines."""
 
     def fail(lineno, message):
         raise AnchorFileError(message, line=lineno)
 
-    if not lines or lines[0].split() != ["voxgs-anchors", "1"]:
+    line = next(lines, None)
+    if line is None or line.split() != ["voxgs-anchors", "1"]:
         fail(1, "missing 'voxgs-anchors 1' signature")
 
-    header = {}
-    mlp_blob = b""
+    fields = {}
     idx = 1
-    while idx < len(lines):
-        parts = lines[idx].split()
+    for line in lines:
+        parts = line.split()
         if not parts:
             idx += 1
             continue
         key = parts[0]
         if key not in ("anchors", "k", "m", "bbox", "mlp"):
             break
+        if key in fields:
+            fail(idx + 1, f"duplicate header field '{key}'")
         if key == "bbox":
             if len(parts) != 7:
                 fail(idx + 1, "bbox needs 6 values")
             try:
-                header["bbox"] = [float(v) for v in parts[1:]]
+                fields["bbox"] = [float(v) for v in parts[1:]]
             except ValueError:
                 fail(idx + 1, "bbox values must be reals")
-            if not np.all(np.isfinite(header["bbox"])):
+            if not np.all(np.isfinite(fields["bbox"])):
                 fail(idx + 1, "bbox values must be finite")
         elif key == "mlp":
             if len(parts) != 2:
                 fail(idx + 1, "mlp takes one hex string")
             try:
-                mlp_blob = binascii.unhexlify(parts[1])
+                fields["mlp"] = binascii.unhexlify(parts[1])
             except (binascii.Error, ValueError):
                 fail(idx + 1, "invalid hex in mlp line")
         else:
             if len(parts) != 2 or not re.fullmatch(r"-?[0-9]+", parts[1]):
                 fail(idx + 1, f"{key} needs one integer value")
-            header[key] = int(parts[1])
+            fields[key] = int(parts[1])
         idx += 1
+    else:
+        line = None
 
     for key in ("anchors", "k", "m", "bbox"):
-        if key not in header:
+        if key not in fields:
             fail(idx, f"missing header field '{key}'")
-    n, k, m = header["anchors"], header["k"], header["m"]
-    if n < 0:
+    if fields["anchors"] < 0:
         fail(idx, "anchors must be non-negative")
     try:
-        layout = AttributeLayout(k=k, m=m)
+        layout = AttributeLayout(k=fields["k"], m=fields["m"])
     except ValueError as exc:
         fail(idx, str(exc))
-    width = 3 + layout.total_dims
+    header = _AnchorHeader(fields["anchors"], layout, fields["bbox"], fields.get("mlp", b""), idx)
+    return header, line
+
+
+# Characters other than "\n" and "\r" at which str.splitlines() breaks a line;
+# the non-ASCII ones ("\x85", "\u2028", "\u2029") fail isascii() first.
+_ASCII_BREAKS = ("\x0b", "\x0c", "\x1c", "\x1d", "\x1e")
+
+
+def _plain_lines(fh):
+    """The lines of a text file; ValueError at a non-ASCII or extra line-break character.
+
+    Without those characters a text file's lines are exactly those
+    str.splitlines() finds, and on them np.loadtxt splits fields as
+    str.split() does and parses every value it accepts as float() does.
+    """
+    for line in fh:
+        if not line.isascii() or any(c in line for c in _ASCII_BREAKS):
+            raise ValueError("line needs the line-by-line parse")
+        yield line
+
+
+def _bulk_rows(fh):
+    """(_AnchorHeader, rows) from one np.loadtxt call, or None to parse line by line."""
+    lines = _plain_lines(fh)
+    try:
+        header, first = _parse_anchor_header(lines)
+        if header.n == 0 or first is None:
+            return None
+        rows = np.loadtxt(
+            itertools.chain((first,), lines), dtype=np.float64, comments=None, ndmin=2
+        )
+    except (AnchorFileError, ValueError):
+        # ValueError: a loadtxt parse error, a line _plain_lines refuses, or UnicodeDecodeError.
+        return None
+    if rows.shape != (header.n, header.width) or not np.isfinite(rows).all():
+        return None
+    return header, rows
+
+
+def _checked_rows(data: bytes):
+    """(_AnchorHeader, rows) from a file's bytes, naming the line of any error."""
+
+    def fail(lineno, message):
+        raise AnchorFileError(message, line=lineno)
+
+    try:
+        lines = data.decode("utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        # The "x" stands in for the bad byte, so a line break just before it counts.
+        line = len((data[: exc.start].decode("utf-8") + "x").splitlines())
+        raise AnchorFileError("not UTF-8 text", line=line) from None
+    header, _ = _parse_anchor_header(iter(lines))
+    n, width = header.n, header.width
     # Every line after the header is a data row, and a row of width values
     # takes at least 2 * width - 1 characters, so a declared count above the
     # rows present or a row too short for the header's width is an error
     # before it becomes an allocation.
-    data_lines = [i for i in range(idx, len(lines)) if lines[i].strip()]
+    data_lines = [i for i in range(header.idx, len(lines)) if lines[i].strip()]
     if n > len(data_lines):
         fail(len(lines), f"expected {n} data rows, found {len(data_lines)}")
     for lineno in data_lines[:n]:
@@ -385,20 +483,7 @@ def read_anchor_file(path) -> FloatAnchorCloud:
         if not np.all(np.isfinite(values)):
             fail(lineno + 1, "non-finite value in row")
         rows[row] = values
-
-    bbox = np.array(header["bbox"]).reshape(2, 3)
-    if np.any(bbox[1] <= bbox[0]):
-        fail(idx, "bbox max must exceed bbox min on every axis")
-    od = layout.offset_dims
-    return FloatAnchorCloud(
-        positions=rows[:, :3],
-        offsets=rows[:, 3 : 3 + od],
-        features=rows[:, 3 + od : 3 + od + m],
-        scalings=rows[:, 3 + od + m :],
-        layout=layout,
-        bbox=bbox,
-        mlp_blob=mlp_blob,
-    )
+    return header, rows
 
 
 def repeat_probability(run_bias: float) -> float:

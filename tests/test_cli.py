@@ -6,7 +6,9 @@ import pytest
 from click.testing import CliRunner
 
 from voxgs import AttributeLayout, generate_synthetic, write_anchor_file
-from voxgs.cli import main
+from voxgs import container as cont
+from voxgs.cli import MAX_SWEEP_ANCHORS, main
+from voxgs.rlc import MAX_ELEMENTS
 
 
 @pytest.fixture
@@ -38,6 +40,18 @@ class TestEncode:
         result = runner.invoke(main, ["encode", str(tmp_path / "nope.txt"), str(tmp_path / "o")])
         assert result.exit_code == 2
         assert "nope.txt" in result.output
+
+    def test_non_utf8_input_names_its_line(self, runner, anchor_file, tmp_path):
+        lines = anchor_file.read_bytes().split(b"\n")
+        lines[6] = lines[6].replace(b" ", b" \xff", 1)  # line 7, data row 1, after the mlp line
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b"\n".join(lines))
+        out = tmp_path / "out.vxgs"
+        result = runner.invoke(main, ["encode", str(bad), str(out)])
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert result.output.splitlines() == ["error: line 7: not UTF-8 text"]
+        assert not out.exists()
 
     def test_zero_scale_rejected(self, runner, anchor_file, tmp_path):
         result = runner.invoke(
@@ -296,6 +310,21 @@ class TestSweep:
         assert result.exit_code == 2, result.output
         assert isinstance(result.exception, SystemExit)
         assert "error: features integers overflow int32 storage" in result.output
+
+    def test_synthetic_above_cap_exit_2_before_generating(self, runner, monkeypatch):
+        # The k=10, m=50 scene has 86 dims per anchor; one anchor more than
+        # MAX_ELEMENTS // 86 is a cloud encode_container refuses.
+        assert MAX_SWEEP_ANCHORS * 86 <= MAX_ELEMENTS < (MAX_SWEEP_ANCHORS + 1) * 86
+
+        def no_generate(*args, **kwargs):
+            raise AssertionError("generate_synthetic called")
+
+        monkeypatch.setattr(cont, "generate_synthetic", no_generate)
+        args = ["sweep", "--axis", "q_p", "--values", "128", "--synthetic"]
+        result = runner.invoke(main, args + [str(MAX_SWEEP_ANCHORS + 1)])
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert "Invalid value for '--synthetic'" in result.output
 
     def test_negative_seed_exit_2(self, runner):
         args = ["sweep", "--axis", "q_p", "--values", "128", "--synthetic", "10", "--seed", "-1"]
