@@ -41,7 +41,6 @@ from .rate import (
     estimate_bits,
     fit_laplace,
     interval_prob,
-    rate_loss,
 )
 from .rlc import RlcStream, decode_attributes, encode_attributes, rlc_decode, rlc_encode
 from .sandbox import SandboxScene, TrainTrace, make_scene, run, step
@@ -85,7 +84,6 @@ __all__ = [
     "quantize_cloud",
     "quantize_features",
     "quantize_positions",
-    "rate_loss",
     "read_anchor_file",
     "rlc_decode",
     "rlc_encode",

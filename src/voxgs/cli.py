@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import os
 import sys
@@ -14,8 +15,9 @@ import numpy as np
 
 from . import container as cont
 from .errors import AnchorFileError, CorrelationUndefinedError, CorruptStreamError, VoxgsError
-from .model import AttributeLayout, QuantParams
+from .model import GROUPS, AttributeLayout, QuantParams
 from .rate import bit_shares, calibrate_alpha
+from .sandbox import DEFAULT_ANCHORS, DEFAULT_LAMBDA1, DEFAULT_LAMBDA2, DEFAULT_LAMBDA3, DEFAULT_LR
 from .sandbox import make_scene, measure_rlc_bits, run
 
 EXIT_INPUT = 2
@@ -83,12 +85,10 @@ def _atomic_write(path, write):
 
 
 def _quant_from_options(preset, qp, qo, qa, qs) -> QuantParams:
-    base = {"q_p": 1024, "q_o": Fraction(1), "q_a": Fraction(1), "q_s": Fraction(8)}
-    if preset:
-        base.update(PRESETS[preset])
+    """QuantParams' own defaults at q_p=1024, then the preset, then each given option."""
     given = {"q_p": qp, "q_o": qo, "q_a": qa, "q_s": qs}
-    base.update({key: value for key, value in given.items() if value is not None})
-    return QuantParams(**base)
+    fields = {**PRESETS.get(preset, {}), **{k: v for k, v in given.items() if v is not None}}
+    return dataclasses.replace(QuantParams(q_p=1024), **fields)
 
 
 def quant_options(fn):
@@ -193,9 +193,7 @@ def _corpus_sequences(corpus_dir, synthetic, seed):
     sequences = []
     for fcloud in fclouds:
         cloud = cont.quantize_cloud(fcloud, QuantParams(q_p=256))
-        sequences.append(
-            np.concatenate([cloud.group(g).T.ravel() for g in ("offsets", "features", "scalings")])
-        )
+        sequences.append(np.concatenate([cloud.group(g).T.ravel() for g in GROUPS]))
     return sequences
 
 
@@ -229,10 +227,7 @@ def _sweep_point(fcloud, quant: QuantParams):
     blob = cont.encode_container(cloud)
     deq = cont.dequantize_cloud(cloud)
     # Distortion: MSE of dequantized attributes vs the input rows that were kept.
-    errs = [
-        ((getattr(deq, g) - getattr(fcloud, g)[kept]) ** 2).ravel()
-        for g in ("offsets", "features", "scalings")
-    ]
+    errs = [((getattr(deq, g) - getattr(fcloud, g)[kept]) ** 2).ravel() for g in GROUPS]
     mse = float(np.concatenate(errs).mean())
     return 8 * len(blob), cont.section_bits(blob)["P"], mse
 
@@ -260,9 +255,8 @@ def sweep(axis, values, input_path, synthetic, seed, qp, qo, qa, qs, preset):
         points = []
         for raw in values.split(","):
             raw = raw.strip()
-            fields = {"q_p": base.q_p, "q_o": base.q_o, "q_a": base.q_a, "q_s": base.q_s}
-            fields[axis] = int(raw) if axis == "q_p" else Fraction(raw)
-            points.append((raw, QuantParams(**fields)))
+            value = int(raw) if axis == "q_p" else Fraction(raw)
+            points.append((raw, dataclasses.replace(base, **{axis: value})))
     except (AnchorFileError, ValueError, ZeroDivisionError) as exc:
         _fail(exc)
 
@@ -280,11 +274,11 @@ def sweep(axis, values, input_path, synthetic, seed, qp, qo, qa, qs, preset):
 @main.command()
 @click.option("--steps", type=int, default=500)
 @click.option("--warmup", type=click.IntRange(min=0), default=100)
-@click.option("--anchors", type=click.IntRange(min=1), default=256)
-@click.option("--lambda1", type=float, callback=_finite, default=0.2)
-@click.option("--lambda2", type=float, callback=_finite, default=0.8)
-@click.option("--lambda3", type=float, callback=_finite, default=1e-4)
-@click.option("--lr", type=float, callback=_finite, default=1e-2)
+@click.option("--anchors", type=click.IntRange(min=1), default=DEFAULT_ANCHORS)
+@click.option("--lambda1", type=float, callback=_finite, default=DEFAULT_LAMBDA1)
+@click.option("--lambda2", type=float, callback=_finite, default=DEFAULT_LAMBDA2)
+@click.option("--lambda3", type=float, callback=_finite, default=DEFAULT_LAMBDA3)
+@click.option("--lr", type=float, callback=_finite, default=DEFAULT_LR)
 @click.option("--seed", type=click.IntRange(min=0), default=0)
 @click.option("--out-prefix", type=click.Path(), default=None, help="Write trace CSVs here.")
 def sandbox(steps, warmup, anchors, lambda1, lambda2, lambda3, lr, seed, out_prefix):

@@ -211,9 +211,6 @@ def validate(cloud: AnchorCloud) -> ValidationReport:
     if not np.all(np.isfinite(cloud.bbox)):
         report.findings.append("bounding box has non-finite values")
     n = cloud.anchor_count
-    if n == 0:
-        return report
-
     pos = cloud.positions
     if pos.min(initial=0) < 0 or pos.max(initial=0) >= cloud.quant.q_p:
         bad = np.flatnonzero((pos < 0).any(axis=1) | (pos >= cloud.quant.q_p).any(axis=1))

@@ -14,7 +14,8 @@ gather the results back to the symbols whenever that table is shorter than
 the stream. Each per-symbol value is the one direct evaluation gives, bit for
 bit, and every sum still runs over the full per-symbol array in stream order,
 so totals keep their bits too. Wide integer streams and every float stream
-are evaluated directly.
+are evaluated directly, in pieces of _BLOCK symbols. Both functions share
+one evaluator, _per_symbol, that makes this choice.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .rlc import rlc_encode
 PROB_FLOOR = 2.0**-40
 # Scale floor for degenerate constant streams.
 B_MIN = 1e-3
-# Symbols per kernel call in estimate_bits: bounds its temporaries at 512 KiB each.
+# Symbols per direct kernel call: bounds its temporaries at 512 KiB each.
 _BLOCK = 1 << 16
 
 _LOG2 = math.log(2.0)
@@ -116,6 +117,25 @@ def _symbol_table(x: np.ndarray):
     return (lo + np.arange(hi - lo + 1)).astype(np.float64), np.subtract(x, lo, dtype=np.intp)
 
 
+def _per_symbol(kernel, x, rows: int) -> np.ndarray:
+    """(rows, x.size) float64: the rows kernel returns, at every symbol of the flattened x.
+
+    kernel maps a float64 array to rows arrays of its shape. It runs once on
+    the symbol table when x has one, else on _BLOCK-sized pieces of x. Each
+    row is a contiguous per-symbol array, so its sums have the bits of one
+    direct pass over the whole stream.
+    """
+    arr = np.asarray(x).ravel()
+    found = _symbol_table(arr)
+    if found is not None:
+        table, index = found
+        return np.take(np.stack(kernel(table)), index, axis=1)
+    out = np.empty((rows, arr.size))
+    for i in range(0, arr.size, _BLOCK):
+        out[:, i : i + _BLOCK] = kernel(np.asarray(arr[i : i + _BLOCK], dtype=np.float64))
+    return out
+
+
 def _nll_terms(x: np.ndarray, mu: float, b: float):
     """(f, df/dx, df/dmu, df/db) of every element of the float64 array x."""
     q, u1, u2, e1, e2 = _laplace_terms(x, mu, b)
@@ -138,43 +158,12 @@ def nll_bits_and_grads(x, mu: float, b: float):
     Returns (f, df/dx, df/dmu, df/db) as float64 arrays. Where the
     probability floor binds, all gradients are zero (clamp subgradient).
     """
-    arr = np.asarray(x).ravel()
-    found = _symbol_table(arr)
-    if found is None:
-        return _nll_terms(np.asarray(arr, dtype=np.float64), mu, b)
-    table, index = found
-    # One take gathers all four; each row is a contiguous per-symbol array, so its sums
-    # have the bits of a direct evaluation's.
-    return tuple(np.take(np.stack(_nll_terms(table, mu, b)), index, axis=1))
+    return tuple(_per_symbol(lambda v: _nll_terms(v, mu, b), x, 4))
 
 
 def estimate_bits(model: LaplaceModel, values) -> float:
     """Total cross-entropy bits of an integer sequence under the model."""
-    arr = np.asarray(values).ravel()
-    found = _symbol_table(arr)
-    if found is not None:
-        table, index = found
-        bits = nll_bits(model, table)[index]
-    else:
-        arr = np.asarray(arr, dtype=np.float64)
-        bits = np.empty_like(arr)
-        for i in range(0, arr.size, _BLOCK):
-            bits[i : i + _BLOCK] = nll_bits(model, arr[i : i + _BLOCK])
-    return float(bits.sum())  # one sum over all symbols: the same bits on every path
-
-
-def rate_loss(offsets, features, scalings) -> float:
-    """Sum over the three groups of the mean per-symbol bits under fresh fits.
-
-    Positions are deliberately excluded: geometry is coded by the octree and
-    carries no rate constraint.
-    """
-    total = 0.0
-    for group in (offsets, features, scalings):
-        arr = np.asarray(group).ravel()
-        if arr.size:
-            total += estimate_bits(fit_laplace(arr), arr) / arr.size
-    return total
+    return float(_per_symbol(lambda v: (nll_bits(model, v),), values, 1)[0].sum())
 
 
 def pearson(xs, ys):

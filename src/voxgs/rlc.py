@@ -132,28 +132,21 @@ def read_varints(data: bytes, pos: int, count: int):
 
 @dataclass(frozen=True)
 class RlcStream:
-    """Maximal-run tokenization of an integer sequence plus its serialization."""
+    """Serialized maximal-run coding of one integer sequence."""
 
-    values: np.ndarray       # (t,) int64 token values, adjacent entries distinct
-    run_lengths: np.ndarray  # (t,) int64, all >= 1
     serialized: bytes
-
-    @property
-    def element_count(self) -> int:
-        return int(self.run_lengths.sum())
 
     @property
     def bits(self) -> int:
         return 8 * len(self.serialized)
 
 
-def _encode_channels(mat: np.ndarray):
+def _encode_channels(mat: np.ndarray) -> bytes:
     """Tokenize and serialize every column of an (n, c) matrix in one pass.
 
     The matrix is flattened channel-major and a run break is forced at every
     channel start, so runs stay maximal within a channel and never cross into
     the next. The serialization is the per-channel streams concatenated.
-    Returns (token values, run lengths, serialized bytes).
     """
     n, dims = mat.shape
     flat = np.asarray(mat).ravel(order="F")
@@ -164,22 +157,19 @@ def _encode_channels(mat: np.ndarray):
         starts = np.flatnonzero(brk)
     else:
         starts = np.zeros(0, dtype=np.int64)
-    token_values = flat[starts].astype(np.int64, copy=False)
-    runs = np.diff(starts, append=flat.size)
-    pairs = np.empty((token_values.size, 2), dtype=np.uint64)
-    pairs[:, 0] = runs
-    pairs[:, 1] = zigzag_encode(token_values)
+    pairs = np.empty((starts.size, 2), dtype=np.uint64)
+    pairs[:, 0] = np.diff(starts, append=flat.size)
+    pairs[:, 1] = zigzag_encode(flat[starts])
     # Each channel's count slot goes before the pair of its first token.
     first_token = np.searchsorted(starts // max(n, 1), np.arange(dims))
     slots = np.insert(pairs.ravel(), 2 * first_token, n)
-    return token_values, runs, varint_pack(slots)
+    return varint_pack(slots)
 
 
 def rlc_encode(values) -> RlcStream:
     """Encode a signed integer sequence; empty sequences are allowed."""
     seq = np.asarray(values, dtype=np.int64).ravel()
-    token_values, runs, serialized = _encode_channels(seq[:, None])
-    return RlcStream(values=token_values, run_lengths=runs, serialized=serialized)
+    return RlcStream(serialized=_encode_channels(seq[:, None]))
 
 
 def _decode_channels(data, dims: int, max_elements: int):
@@ -258,7 +248,7 @@ def encode_attributes(cloud: AnchorCloud):
     payloads = {}
     bits = {}
     for name in GROUPS:
-        payloads[name] = _encode_channels(cloud.group(name))[2]
+        payloads[name] = _encode_channels(cloud.group(name))
         bits[name] = 8 * len(payloads[name])
     return payloads, bits
 

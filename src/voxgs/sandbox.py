@@ -27,7 +27,7 @@ from .geometry import morton_encode
 from .model import GROUPS, AnchorCloud, AttributeLayout, QuantParams
 from .quantize import ste_round
 from .rate import B_MIN, estimate_bits, fit_laplace, nll_bits_and_grads
-from .rlc import encode_attributes
+from .rlc import MAX_ELEMENTS, encode_attributes
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -35,6 +35,7 @@ DEFAULT_LAMBDA1 = 0.2
 DEFAULT_LAMBDA2 = 0.8
 DEFAULT_LAMBDA3 = 1e-4
 DEFAULT_LR = 1e-2
+DEFAULT_ANCHORS = 256
 
 # make_scene's quantization, parameter noise around the targets (in quantization
 # steps) and offset mix (zeros, then boundary-straddlers, then the integer tail).
@@ -135,7 +136,7 @@ def _rate_grads(z: np.ndarray):
     f, grad, df_dmu, df_db = nll_bits_and_grads(flat, mu, model.b)
     bits = float(f.sum())
     grad += df_dmu.sum() / n
-    if sigma * _SQRT2 > B_MIN:  # fit-path b gradient only when the floor is inactive
+    if model.b > B_MIN:  # fit-path b gradient only when the floor is inactive
         fit = np.subtract(flat, mu, out=f)  # f is summed already
         fit *= df_db.sum()
         grad += np.divide(fit, n * sigma * _SQRT2, out=fit)
@@ -257,7 +258,7 @@ def _fresh_with_margin(count, draw, scale):
 
 def make_scene(
     seed: int = 0,
-    anchors: int = 256,
+    anchors: int = DEFAULT_ANCHORS,
     k: int = 10,
     m: int = 50,
     lambda1: float = DEFAULT_LAMBDA1,
@@ -273,8 +274,14 @@ def make_scene(
     quant = SCENE_QUANT
     if anchors > quant.q_p**3:
         raise ValueError(f"anchors={anchors} exceeds the {quant.q_p}^3 voxels of the scene grid")
-    rng = np.random.default_rng(seed)
     layout = AttributeLayout(k=k, m=m)
+    # The largest scene a container holds; checked before anything is allocated.
+    if anchors * layout.total_dims > MAX_ELEMENTS:
+        raise ValueError(
+            f"anchors={anchors} x {layout.total_dims} attribute channels exceeds"
+            f" the {MAX_ELEMENTS}-element container limit"
+        )
+    rng = np.random.default_rng(seed)
 
     # Distinct Morton-sorted voxel positions.
     pos = rng.integers(0, quant.q_p, size=(anchors * 2, 3), dtype=np.int64)

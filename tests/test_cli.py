@@ -439,6 +439,18 @@ class TestSandbox:
         assert len(result.output.splitlines()) == 1
         assert result.output.startswith("error: baseline run failed: anchors=16777217 exceeds")
 
+    def test_more_anchors_than_a_container_holds_exit_2(self, runner):
+        # 780,336 anchors x 86 channels exceed MAX_ELEMENTS; refused before the scene is built.
+        result = runner.invoke(
+            main, ["sandbox", "--steps", "3", "--warmup", "1", "--anchors", "780336"]
+        )
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert result.output == (
+            "error: baseline run failed: anchors=780336 x 86 attribute channels exceeds"
+            " the 67108864-element container limit\n"
+        )
+
     def test_negative_seed_exit_2(self, runner):
         result = runner.invoke(
             main, ["sandbox", "--steps", "3", "--warmup", "1", "--anchors", "8", "--seed", "-1"]

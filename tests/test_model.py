@@ -214,6 +214,15 @@ class TestValidate:
         report = validate(bad)
         assert any("offsets" in f for f in report)
 
+    def test_rows_without_anchors_rejected(self):
+        # Groups with rows but no positions: the decoder refuses any element for 0 anchors.
+        layout = AttributeLayout(k=1, m=1)
+        rows = {g: np.zeros((2, layout.dims_for(g)), dtype=np.int32) for g in GROUPS}
+        bad = _cloud(np.zeros((0, 3)), k=1, m=1, **rows)
+        assert validate(bad).findings == [f"{g} has 2 rows for 0 anchors" for g in GROUPS]
+        with pytest.raises(ValueError, match="offsets has 2 rows for 0 anchors"):
+            encode_container(bad)
+
     @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
     def test_non_finite_bbox(self, value):
         bbox = np.array([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]])

@@ -170,25 +170,33 @@ class TestReadVarints:
         assert read_varints(b"\x80" * 9 + b"\x01", 0, 1) == ([1 << 63], 10)
 
 
+def tokens(stream):
+    """(element count, run lengths, token values) read back from a serialized stream.
+
+    The stream is [count, run, zigzag(value), run, zigzag(value), ...] varints.
+    """
+    slots = varint_unpack_all(stream.serialized)
+    return int(slots[0]), slots[1::2].astype(np.int64), zigzag_decode(slots[2::2])
+
+
 class TestRlcEncode:
     def test_maximal_runs(self):
-        stream = rlc_encode([5, 5, 5, 2])
-        assert stream.values.tolist() == [5, 2]
-        assert stream.run_lengths.tolist() == [3, 1]
-        assert stream.element_count == 4
+        count, runs, values = tokens(rlc_encode([5, 5, 5, 2]))
+        assert values.tolist() == [5, 2]
+        assert runs.tolist() == [3, 1]
+        assert count == 4
 
     def test_empty(self):
         stream = rlc_encode([])
-        assert stream.values.size == 0
+        assert tokens(stream)[2].size == 0
         assert stream.serialized == b"\x00"  # just the zero count
 
     def test_adjacent_tokens_distinct(self):
         rng = np.random.default_rng(42)
-        values = rng.integers(-3, 3, size=5000)
-        stream = rlc_encode(values)
-        assert np.all(stream.values[1:] != stream.values[:-1])
-        assert stream.run_lengths.min() >= 1
-        assert stream.run_lengths.sum() == 5000
+        count, runs, values = tokens(rlc_encode(rng.integers(-3, 3, size=5000)))
+        assert np.all(values[1:] != values[:-1])
+        assert runs.min() >= 1
+        assert runs.sum() == count == 5000
 
     def test_size_vs_run_count_oracle(self):
         rng = np.random.default_rng(43)
@@ -209,9 +217,10 @@ class TestRlcEncode:
         assert abs(len(stream.serialized) - predicted) <= 0.15 * predicted
 
     def test_tokenize_runs(self):
-        stream = rlc_encode(np.array([1, 1, 2, 2, 2, 1]))
-        assert stream.values.tolist() == [1, 2, 1]
-        assert stream.run_lengths.tolist() == [2, 3, 1]
+        count, runs, values = tokens(rlc_encode(np.array([1, 1, 2, 2, 2, 1])))
+        assert values.tolist() == [1, 2, 1]
+        assert runs.tolist() == [2, 3, 1]
+        assert count == 6
 
 
 class TestRlcDecode:

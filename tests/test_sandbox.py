@@ -7,9 +7,10 @@ import pytest
 
 from voxgs import SandboxScene, TrainTrace, make_scene, run, step
 from voxgs.model import GROUPS, AttributeLayout, QuantParams
-from voxgs.rate import B_MIN
+from voxgs.rate import B_MIN, fit_laplace, nll_bits_and_grads
 import voxgs.rate as rate
-from voxgs.sandbox import measure_rlc_bits
+from voxgs.rlc import MAX_ELEMENTS
+from voxgs.sandbox import _rate_grads, measure_rlc_bits
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -99,6 +100,19 @@ class TestStep:
                 down = _reference_loss(scene, bumped)
                 fd = (up - down) / (2 * eps)
                 assert abs(grads[name][i, j] - fd) <= 1e-4 * max(1.0, abs(fd))
+
+    def test_floored_scale_has_no_fit_path_gradient(self):
+        # sigma / sqrt(2) < B_MIN < sigma * sqrt(2): fit_laplace floors b, so the rate
+        # gradient must not take the path through the fitted scale.
+        noise = np.random.default_rng(12).standard_normal((8, 8))
+        z = 0.5 + 1.2e-3 * (noise - noise.mean()) / noise.std()
+        model = fit_laplace(z)
+        assert model.b == B_MIN and model.sigma * _SQRT2 > B_MIN
+        _, df_dx, df_dmu, df_db = nll_bits_and_grads(z, model.mu, model.b)
+        assert df_db.sum() != 0.0  # the fit-path term would not vanish on its own
+        _, grad = _rate_grads(z)
+        expected = (df_dx + df_dmu.sum() / z.size).reshape(z.shape)
+        np.testing.assert_array_equal(grad.view(np.uint64), expected.view(np.uint64))
 
     def test_ste_contract_hand_derived(self):
         # 1-anchor scene, lambda3=0: the joint-phase update must equal the
@@ -206,6 +220,13 @@ class TestRun:
         # Distinct positions on the 256^3 scene grid run out at 256**3 anchors.
         with pytest.raises(ValueError, match="exceeds the 256\\^3 voxels"):
             make_scene(anchors=256**3 + 1)
+
+    def test_make_scene_beyond_container_limit_raises(self):
+        # 86 channels per anchor (k=10, m=50): 780,335 anchors is the largest scene a
+        # container holds. The check runs before anything is allocated.
+        assert MAX_ELEMENTS // 86 == 780_335
+        with pytest.raises(ValueError, match="anchors=780336 x 86 attribute channels exceeds"):
+            make_scene(anchors=780_336)
 
     @pytest.mark.parametrize(
         "lambda3,digest",
