@@ -14,6 +14,7 @@ import click
 import numpy as np
 
 from . import container as cont
+from ._pool import WORKERS
 from .errors import AnchorFileError, CorrelationUndefinedError, CorruptStreamError, VoxgsError
 from .model import GROUPS, AttributeLayout, QuantParams
 from .rate import bit_shares, calibrate_alpha
@@ -58,10 +59,10 @@ def _finite(_ctx, param, value):
 
 
 def _thread_cap() -> int:
-    """Sweep worker cap: VOXGS_THREADS (a positive integer, else exit 2) or the CPU count."""
+    """Sweep worker cap: VOXGS_THREADS (a positive integer, else exit 2) or the codec's workers."""
     env = os.environ.get("VOXGS_THREADS")
     if not env:
-        return os.cpu_count() or 1
+        return WORKERS
     try:
         cap = int(env)
     except ValueError:

@@ -40,6 +40,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from ._pool import run, spans
 from .errors import AnchorFileError, CorruptStreamError
 from .geometry import OctreePayload, morton_encode, octree_decode, octree_encode
 from .model import (
@@ -75,18 +76,45 @@ def _varint_bytes(*values) -> bytes:
     return varint_pack(np.asarray(values, dtype=np.uint64))
 
 
+def _quantize_rows(values: np.ndarray, kept: np.ndarray, scale):
+    """quantize_features(values[kept], scale) as int32, quantized in spans of rows.
+
+    None if a span fails ste_round or holds a value int32 cannot.
+    """
+    out = np.empty((kept.size, values.shape[1]), dtype=np.int32)
+
+    def quantize(a, b):
+        try:
+            rows = quantize_features(values[kept[a:b]], scale)
+        except ValueError:
+            return False
+        if rows.size and (rows.min() < -(2**31) or rows.max() > 2**31 - 1):
+            return False
+        out[a:b] = rows
+        return True
+
+    return out if all(run(quantize, spans(kept.size, values.shape[1]))) else None
+
+
 def quantize_cloud_kept(fcloud: FloatAnchorCloud, quant: QuantParams):
     """quantize_cloud plus the input row index of the anchor kept on each voxel.
 
     Returns (cloud, kept); row i of the cloud comes from input row kept[i].
     """
     voxels, kept, _ = voxelize(fcloud.positions, quant.q_p, fcloud.bbox)
-    cloud = AnchorCloud(
-        positions=voxels,
-        **{
+    groups = {
+        name: _quantize_rows(getattr(fcloud, name), kept, quant.scale_for(name)) for name in GROUPS
+    }
+    if any(rows is None for rows in groups.values()):
+        # Quantized whole, the groups raise the error that fails first, whatever
+        # the spans: ste_round's for any group, then AnchorCloud's int32 check.
+        groups = {
             name: quantize_features(getattr(fcloud, name)[kept], quant.scale_for(name))
             for name in GROUPS
-        },
+        }
+    cloud = AnchorCloud(
+        positions=voxels,
+        **groups,
         layout=fcloud.layout,
         quant=quant,
         bbox=fcloud.bbox,
@@ -268,10 +296,14 @@ def analyze_container(data: bytes):
         if mat.size == 0:
             estimated[key] = 0.0
             continue
-        estimated[key] = estimate_bits(fit_laplace(mat.ravel()), mat.ravel())
-        for c in range(mat.shape[1]):
-            col = mat[:, c]
-            channel_est.append(estimate_bits(fit_laplace(col), col))
+        flat = mat.ravel()  # row-major, whatever the memory order: the sums keep their bits
+        estimated[key] = estimate_bits(fit_laplace(flat), flat)
+
+        def estimate(a, b):
+            return [estimate_bits(fit_laplace(col), col) for col in mat.T[a:b]]
+
+        for part in run(estimate, spans(mat.shape[1], mat.shape[0])):
+            channel_est.extend(part)
         channel_act.extend(8 * channel_bytes[name])
 
     est_total = sum(estimated.values())

@@ -103,8 +103,9 @@ def _as_2d(a, dtype, cols, name):
     arr = np.asarray(a)
     if arr.ndim != 2 or (arr.size and arr.shape[1] != cols):
         raise ValueError(f"{name} must have shape (n, {cols}), got {arr.shape}")
-    if arr.dtype != dtype and arr.size and np.issubdtype(dtype, np.integer):
-        if arr.dtype.kind not in "biu":
+    # A cast numpy calls safe (bool or a narrower integer) keeps every value.
+    if arr.size and np.issubdtype(dtype, np.integer) and not np.can_cast(arr.dtype, dtype):
+        if arr.dtype.kind not in "iu":
             real = np.asarray(arr, dtype=np.float64)
             if not (np.isfinite(real).all() and (real == np.trunc(real)).all()):
                 raise ValueError(f"{name} must hold finite integers")

@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import CorrelationUndefinedError
+from .model import _as_2d
 from .rlc import rlc_encode
 
 # Floor on interval probabilities: caps any symbol at 40 estimated bits.
@@ -190,15 +191,17 @@ def calibrate_alpha(corpus) -> CalibrationResult:
     """Fit alpha = total actual bits / total estimated bits over a corpus.
 
     Each corpus entry is an integer sequence; estimation uses a model fitted
-    to that sequence alone. Raises CorrelationUndefinedError (carrying the
-    fitted alpha) when the Pearson correlation of the scatter is undefined.
+    to that sequence alone. Raises ValueError for an entry holding a value
+    that is not an integer int64 holds, and CorrelationUndefinedError
+    (carrying the fitted alpha) when the Pearson correlation of the scatter
+    is undefined.
     """
     if not corpus:
         raise ValueError("calibration corpus is empty")
     est = []
     act = []
     for seq in corpus:
-        arr = np.asarray(seq, dtype=np.int64).ravel()
+        arr = _as_2d(np.reshape(seq, (-1, 1)), np.int64, 1, "values")[:, 0]
         if arr.size == 0:
             raise ValueError("calibration corpus contains an empty sequence")
         est.append(estimate_bits(fit_laplace(arr), arr))

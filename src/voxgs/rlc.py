@@ -7,12 +7,14 @@ base-128 with continuation bit 0x80. Runs are maximal: adjacent tokens carry
 distinct values. There is no further entropy-coding stage (bypass mode).
 
 An attribute group is its channels' streams concatenated, channel-major.
-The whole group is coded in one pass: it is flattened channel-major with a
-run break forced at every channel start, tokenized at once and packed with
-one varint_pack call; decoding unpacks the group once and expands it with
-one repeat. A single channel (rlc_encode, rlc_decode) is the one-channel
-case of the same kernels, and varint_pack and _varint_unpack hold the only
-LEB128 writer and decoding rule of the codec.
+Channel streams are independent, so a group is coded in spans of channels
+(see _pool): each span is flattened channel-major with a run break forced at
+every channel start, tokenized at once and packed with one varint_pack call,
+and the spans' bytes are joined in order. Decoding unpacks the group once,
+walks its channels in order, and expands each span of channels with one
+repeat into its columns of the output. A single channel (rlc_encode,
+rlc_decode) is the one-channel case of the same kernels, and varint_pack and
+_varint_unpack hold the only LEB128 writer and decoding rule of the codec.
 
 The decoder also reports each channel's serialized byte length, read from
 the varint boundaries it parses anyway (decode_groups). Those are the bytes
@@ -27,9 +29,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._pool import run, spans
 from .errors import CorruptStreamError
 from .geometry import sort_by_morton
-from .model import GROUPS, AnchorCloud, AttributeLayout
+from .model import GROUPS, AnchorCloud, AttributeLayout, _as_2d
 
 # Decoders refuse element counts above this to keep allocations bounded on
 # hostile input; legitimate streams in this codec stay far below it.
@@ -167,21 +170,54 @@ def _encode_channels(mat: np.ndarray) -> bytes:
 
 
 def rlc_encode(values) -> RlcStream:
-    """Encode a signed integer sequence; empty sequences are allowed."""
-    seq = np.asarray(values, dtype=np.int64).ravel()
-    return RlcStream(serialized=_encode_channels(seq[:, None]))
+    """Encode a signed integer sequence; empty sequences are allowed.
+
+    Raises ValueError for a value that is not an integer int64 holds.
+    """
+    seq = _as_2d(np.reshape(values, (-1, 1)), np.int64, 1, "values")
+    return RlcStream(serialized=_encode_channels(seq))
 
 
-def _decode_channels(data, dims: int, max_elements: int):
-    """Decode dims consecutive channel streams from the start of a byte buffer.
+@dataclass(frozen=True)
+class _Channels:
+    """The parse of consecutive channel streams: where each channel's tokens are.
+
+    varints holds every varint of the buffer; channel c's tokens are the
+    (run, zigzag value) slot pairs from firsts[c] on, tokens[c] of them.
+    counts and nbytes are each channel's element count and byte length.
+    """
+
+    varints: np.ndarray
+    firsts: np.ndarray
+    tokens: np.ndarray
+    counts: list
+    nbytes: np.ndarray
+
+    def tokens_of(self, start: int, stop: int):
+        """(values, runs) of every token of channels start..stop, in stream order.
+
+        Raises on a run of zero, so the runs of each channel sum to its count
+        and every value is an element of it.
+        """
+        tokens = self.tokens[start:stop]
+        before = np.cumsum(tokens) - tokens
+        slots = np.repeat(self.firsts[start:stop] - 2 * before, tokens)
+        slots += 2 * np.arange(slots.size)
+        runs = self.varints[slots].astype(np.int64)
+        if np.any(runs < 1):
+            raise CorruptStreamError("run length of zero")
+        return zigzag_decode(self.varints[slots + 1]), runs
+
+
+def _parse_channels(data, dims: int, max_elements: int) -> _Channels:
+    """Parse dims consecutive channel streams from the start of a byte buffer.
 
     Run sums come from one prefix sum per slot parity over the whole group.
     A channel's end is then a binary search within its own window of
     2 * count slots, so no channel scans the slots of the channels after it.
-    Returns (the channels' elements concatenated, each channel's element
-    count, each channel's byte length). The byte lengths are taken from the
-    varint boundaries of the parse; they sum to len(data) exactly when no
-    bytes follow the last channel.
+    Each channel's byte length is taken from the varint boundaries of the
+    parse; they sum to len(data) exactly when no bytes follow the last
+    channel.
     """
     varints, ends = _varint_unpack(data)
     # Clipping keeps the prefix sums from wrapping; a clipped run still
@@ -212,14 +248,9 @@ def _decode_channels(data, dims: int, max_elements: int):
         tokens.append(t)
     tokens = np.asarray(tokens, dtype=np.int64)
     firsts = np.asarray(firsts, dtype=np.int64)
-    before = np.cumsum(tokens) - tokens
-    run_slots = np.repeat(firsts - 2 * before, tokens) + 2 * np.arange(tokens.sum())
-    runs = varints[run_slots].astype(np.int64)
-    if np.any(runs < 1):
-        raise CorruptStreamError("run length of zero")
     # A channel's bytes end with the last byte of its last varint.
     nbytes = np.diff(ends[firsts + 2 * tokens - 1] + 1, prepend=0)
-    return np.repeat(zigzag_decode(varints[run_slots + 1]), runs), counts, nbytes
+    return _Channels(varints, firsts, tokens, counts, nbytes)
 
 
 def rlc_decode(data, max_elements: int = MAX_ELEMENTS) -> np.ndarray:
@@ -229,8 +260,9 @@ def rlc_decode(data, max_elements: int = MAX_ELEMENTS) -> np.ndarray:
     data = bytes(data)
     if not data:
         raise CorruptStreamError("empty stream")
-    decoded, _, nbytes = _decode_channels(data, 1, max_elements)
-    if nbytes[0] != len(data):
+    channels = _parse_channels(data, 1, max_elements)
+    decoded = np.repeat(*channels.tokens_of(0, 1))
+    if channels.nbytes[0] != len(data):
         raise CorruptStreamError("trailing bytes after stream")
     return decoded
 
@@ -240,15 +272,18 @@ def encode_attributes(cloud: AnchorCloud):
 
     Morton order is the octree's leaf order, which the decoder returns. Channels
     are serialized channel-major: within each group, all anchors' channel 0,
-    then channel 1, and so on, each channel an independent stream. Each group
-    is tokenized and serialized in one pass; the bytes are those of the
-    per-channel streams concatenated. Returns (payloads, bits) keyed by group.
+    then channel 1, and so on, each channel an independent stream. Each span
+    of a group's channels is tokenized and serialized in one pass; the bytes
+    are those of the per-channel streams concatenated. Returns (payloads,
+    bits) keyed by group.
     """
     cloud = sort_by_morton(cloud)
     payloads = {}
     bits = {}
     for name in GROUPS:
-        payloads[name] = _encode_channels(cloud.group(name))
+        mat = cloud.group(name)
+        parts = run(lambda a, b: _encode_channels(mat[:, a:b]), spans(mat.shape[1], mat.shape[0]))
+        payloads[name] = b"".join(parts)
         bits[name] = 8 * len(payloads[name])
     return payloads, bits
 
@@ -256,10 +291,12 @@ def encode_attributes(cloud: AnchorCloud):
 def decode_groups(payloads, layout: AttributeLayout, anchor_count: int):
     """Decode the attribute groups and measure their channel streams.
 
-    Each group is parsed with one varint pass and expanded with one repeat.
-    Returns (matrices, channel_bytes), dicts keyed by group name: the
-    (anchor_count, dims) int32 matrix, and each channel's serialized byte
-    length as found in the payload.
+    Each group is parsed with one varint pass; spans of its channels are
+    then expanded straight into their columns of the output. Returns
+    (matrices, channel_bytes), dicts keyed by group name: the
+    (anchor_count, dims) int32 matrix, column-major so that each channel is
+    contiguous, and each channel's serialized byte length as found in the
+    payload.
     """
     if anchor_count < 0 or anchor_count > MAX_ELEMENTS:
         raise CorruptStreamError(f"implausible anchor count {anchor_count}")
@@ -268,18 +305,29 @@ def decode_groups(payloads, layout: AttributeLayout, anchor_count: int):
     for name in GROUPS:
         dims = layout.dims_for(name)
         payload = payloads[name]
-        flat, counts, nbytes = _decode_channels(payload, dims, anchor_count)
-        for c, count in enumerate(counts):
-            if count != anchor_count:
+        channels = _parse_channels(payload, dims, anchor_count)
+        wrong = [c for c, count in enumerate(channels.counts) if count != anchor_count]
+        if wrong or channels.nbytes.sum() != len(payload):
+            channels.tokens_of(0, dims)  # a run of zero is reported first
+            if wrong:
                 raise CorruptStreamError(
-                    f"{name} channel {c} decodes {count} elements, expected {anchor_count}"
+                    f"{name} channel {wrong[0]} decodes {channels.counts[wrong[0]]} elements, "
+                    f"expected {anchor_count}"
                 )
-        if nbytes.sum() != len(payload):
             raise CorruptStreamError(f"trailing bytes after {name} channels")
-        if flat.size and (flat.min() < -(2**31) or flat.max() > 2**31 - 1):
+        out = np.empty((anchor_count, dims), dtype=np.int32, order="F")
+
+        def expand(a, b):
+            values, runs = channels.tokens_of(a, b)
+            if values.size and (values.min() < -(2**31) or values.max() > 2**31 - 1):
+                return False
+            out.T[a:b] = np.repeat(values.astype(np.int32), runs).reshape(b - a, anchor_count)
+            return True
+
+        if not all(run(expand, spans(dims, anchor_count))):
             raise CorruptStreamError(f"{name} values overflow int32")
-        matrices[name] = np.ascontiguousarray(flat.reshape(dims, anchor_count).T, dtype=np.int32)
-        channel_bytes[name] = nbytes
+        matrices[name] = out
+        channel_bytes[name] = channels.nbytes
     return matrices, channel_bytes
 
 

@@ -6,6 +6,7 @@ import pytest
 from click.testing import CliRunner
 
 from voxgs import AttributeLayout, generate_synthetic, write_anchor_file
+from voxgs import cli
 from voxgs import container as cont
 from voxgs.cli import MAX_SWEEP_ANCHORS, main
 from voxgs.rlc import MAX_ELEMENTS
@@ -350,6 +351,27 @@ class TestSweep:
         assert result.exit_code == 0, result.output
         monkeypatch.delenv("VOXGS_THREADS")
         assert runner.invoke(main, args).output == result.output
+
+    @pytest.mark.parametrize("env,workers,expected", [(None, 1, 1), (None, 3, 3), ("2", 1, 2)])
+    def test_thread_cap_defaults_to_codec_workers(self, runner, monkeypatch, env, workers, expected):
+        # The codec's worker count follows the CPU affinity mask; os.cpu_count() does not.
+        seen = []
+        pool_type = cli.ThreadPoolExecutor
+
+        def spy(max_workers):
+            seen.append(max_workers)
+            return pool_type(max_workers=max_workers)
+
+        monkeypatch.setattr(cli, "ThreadPoolExecutor", spy)
+        monkeypatch.setattr(cli, "WORKERS", workers)
+        if env is None:
+            monkeypatch.delenv("VOXGS_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("VOXGS_THREADS", env)
+        args = ["sweep", "--axis", "q_p", "--values", "128,256,512", "--synthetic", "50"]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 0, result.output
+        assert seen == [expected]
 
 
 class TestOutputPath:

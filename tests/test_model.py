@@ -182,6 +182,11 @@ class TestAnchorCloudStorage:
         assert cloud.positions.dtype == np.int64 and cloud.positions.tolist() == [[1, 0, 2]]
         assert cloud.features.dtype == np.int32 and cloud.features.tolist() == [[1, 0]]
 
+    def test_boolean_positions_stored_as_integers(self):
+        # Comparing a boolean array with the int64 bound 2**63 raised OverflowError.
+        cloud = replace(_cloud([[0, 0, 0]]), positions=np.array([[True, False, True]]))
+        assert cloud.positions.dtype == np.int64 and cloud.positions.tolist() == [[1, 0, 1]]
+
 
 class TestValidate:
     def test_duplicate_positions(self):

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -385,6 +386,31 @@ class TestCalibrateAlpha:
     def test_empty_sequence_rejected(self):
         with pytest.raises(ValueError):
             calibrate_alpha([np.array([1, 2]), np.array([], dtype=np.int64)])
+
+    @pytest.mark.parametrize(
+        "sequence,message",
+        [
+            (np.array([1.5, 2.0, 2.0]), "values must hold finite integers"),
+            (np.array([1.0, np.nan]), "values must hold finite integers"),
+            (np.array([2**63, 1], dtype=np.uint64), "values integers overflow int64 storage"),
+            (np.array([1e30, 0.0]), "values integers overflow int64 storage"),
+        ],
+    )
+    def test_sequence_int64_cannot_hold_rejected(self, sequence, message):
+        # A cast would truncate the first, wrap the third and warn on the fourth.
+        corpus = [np.array([1, 2, 3, 1, 1]), sequence]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                calibrate_alpha(corpus)
+
+    def test_integral_float_corpus_fits_like_its_integers(self):
+        rng = np.random.default_rng(68)
+        corpus = [np.round(rng.laplace(0, s, size=300)) for s in (1, 2, 4)]
+        as_floats = calibrate_alpha(corpus)
+        as_ints = calibrate_alpha([seq.astype(np.int64) for seq in corpus])
+        assert as_floats.alpha == as_ints.alpha
+        assert np.array_equal(as_floats.estimated_bits, as_ints.estimated_bits)
 
     def test_alpha_is_bit_ratio(self):
         rng = np.random.default_rng(67)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -221,6 +223,43 @@ class TestRlcEncode:
         assert values.tolist() == [1, 2, 1]
         assert runs.tolist() == [2, 3, 1]
         assert count == 6
+
+    @pytest.mark.parametrize(
+        "values,message",
+        [
+            ([1.5, 2.0], "values must hold finite integers"),
+            ([0.0, np.nan], "values must hold finite integers"),
+            ([-np.inf], "values must hold finite integers"),
+            (np.array([2**63], dtype=np.uint64), "values integers overflow int64 storage"),
+            ([1e30], "values integers overflow int64 storage"),
+            ([-(2.0**64)], "values integers overflow int64 storage"),
+            ([2**64], "values integers overflow int64 storage"),
+        ],
+    )
+    def test_values_int64_cannot_hold_rejected(self, values, message):
+        # Casting would truncate 1.5, wrap 2**63 to -2**63 and warn on 1e30.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                rlc_encode(values)
+
+    @pytest.mark.parametrize("dtype", [np.int8, np.uint8, np.int32, np.uint32, np.int64, np.uint64, bool])
+    def test_integer_input_keeps_its_bytes(self, dtype):
+        rng = np.random.default_rng(47)
+        info = np.iinfo(np.int8 if dtype is bool else dtype)
+        lo, hi = max(info.min, -(2**62)), min(info.max, 2**62)
+        values = rng.integers(lo, hi, size=300, endpoint=True).astype(dtype)
+        if dtype is bool:
+            values = rng.random(300) < 0.5
+        expected = [int(v) for v in values]
+        stream = rlc_encode(values)
+        assert stream == rlc_encode(np.array(expected, dtype=np.int64))
+        assert rlc_decode(stream).tolist() == expected
+
+    def test_integral_floats_and_extremes_accepted(self):
+        assert rlc_decode(rlc_encode([1.0, -0.0, 2.0**62])).tolist() == [1, 0, 2**62]
+        extremes = [-(2**63), 2**63 - 1]
+        assert rlc_decode(rlc_encode(extremes)).tolist() == extremes
 
 
 class TestRlcDecode:
