@@ -1,4 +1,4 @@
-"""Bounded codec tasks on one thread pool sized to the CPUs this process may use.
+"""The program's one thread pool, sized to the CPUs this process may use.
 
 A large stage splits its work into contiguous spans of at most
 _TASK_ELEMENTS elements (spans) and runs one task per span (run). Each task
@@ -8,8 +8,9 @@ count and any task size. NumPy releases the interpreter lock inside most
 of its loops, so tasks on different workers overlap. Bounding each task
 also bounds the temporaries of a stage's tasks to WORKERS tasks' worth.
 
-Tasks are leaves: they never call run themselves, so no worker waits on
-the pool it occupies.
+A run called from a pool worker runs its ranges on that worker, so a task
+may itself call run (voxgs sweep runs its points as tasks, and each point
+runs the codec) and no worker ever waits on the pool it occupies.
 """
 
 from __future__ import annotations
@@ -24,6 +25,9 @@ WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 
 # flight hold at once, large enough that the pool's overhead of tens of
 # microseconds per task is small next to a task's milliseconds of work.
 _TASK_ELEMENTS = 1 << 18
+
+# _local.worker is set on the pool's own threads; a run called there goes inline.
+_local = threading.local()
 
 
 def _reset():
@@ -51,15 +55,20 @@ def spans(units: int, unit_size: int):
 def run(fn, ranges):
     """[fn(start, stop) for each range], in order.
 
-    Runs on the calling thread when there is one range or one worker, else
-    on the pool, created on first use. The first exception, in range order,
-    is raised.
+    Runs on the calling thread when there is one range, one worker, or when
+    the caller is itself a pool worker; else on the pool, created on first
+    use. The first exception, in range order, is raised.
     """
-    if len(ranges) < 2 or WORKERS < 2:
+    if len(ranges) < 2 or WORKERS < 2 or getattr(_local, "worker", False):
         return [fn(start, stop) for start, stop in ranges]
     global _executor
     with _lock:
         if _executor is None:
-            _executor = ThreadPoolExecutor(max_workers=WORKERS, thread_name_prefix="voxgs")
+            _executor = ThreadPoolExecutor(
+                max_workers=WORKERS,
+                thread_name_prefix="voxgs",
+                initializer=setattr,
+                initargs=(_local, "worker", True),
+            )
         pool = _executor
     return list(pool.map(fn, *zip(*ranges)))

@@ -6,15 +6,14 @@ import dataclasses
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from pathlib import Path
 
 import click
 import numpy as np
 
+from . import _pool
 from . import container as cont
-from ._pool import WORKERS
 from .errors import AnchorFileError, CorrelationUndefinedError, CorruptStreamError, VoxgsError
 from .model import GROUPS, AttributeLayout, QuantParams
 from .rate import bit_shares, calibrate_alpha
@@ -56,20 +55,6 @@ def _finite(_ctx, param, value):
     if not math.isfinite(value):
         raise click.BadParameter(f"{param.name} must be finite")
     return value
-
-
-def _thread_cap() -> int:
-    """Sweep worker cap: VOXGS_THREADS (a positive integer, else exit 2) or the codec's workers."""
-    env = os.environ.get("VOXGS_THREADS")
-    if not env:
-        return WORKERS
-    try:
-        cap = int(env)
-    except ValueError:
-        cap = 0
-    if cap < 1:
-        _fail(f"VOXGS_THREADS must be a positive integer, not {env!r}")
-    return cap
 
 
 def _atomic_write(path, write):
@@ -260,10 +245,12 @@ def sweep(axis, values, input_path, synthetic, seed, qp, qo, qa, qs, preset):
             points.append((raw, dataclasses.replace(base, **{axis: value})))
     except (AnchorFileError, ValueError, ZeroDivisionError) as exc:
         _fail(exc)
+    if fcloud.anchor_count == 0:
+        _fail(f"{input_path} holds no anchors; there is nothing to sweep")
 
     try:
-        with ThreadPoolExecutor(max_workers=min(_thread_cap(), len(points))) as pool:
-            results = list(pool.map(lambda pq: _sweep_point(fcloud, pq[1]), points))
+        ranges = [(i, i + 1) for i in range(len(points))]
+        results = _pool.run(lambda i, _: _sweep_point(fcloud, points[i][1]), ranges)
     except (VoxgsError, ValueError) as exc:
         _fail(exc)
 

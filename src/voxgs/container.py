@@ -50,6 +50,7 @@ from .model import (
     AttributeLayout,
     FloatAnchorCloud,
     QuantParams,
+    _as_2d,
     validate,
 )
 from .quantize import dequantize_features, quantize_features, voxelize
@@ -86,11 +87,9 @@ def _quantize_rows(values: np.ndarray, kept: np.ndarray, scale):
     def quantize(a, b):
         try:
             rows = quantize_features(values[kept[a:b]], scale)
+            out[a:b] = _as_2d(rows, np.int32, out.shape[1], "rows")
         except ValueError:
             return False
-        if rows.size and (rows.min() < -(2**31) or rows.max() > 2**31 - 1):
-            return False
-        out[a:b] = rows
         return True
 
     return out if all(run(quantize, spans(kept.size, values.shape[1]))) else None

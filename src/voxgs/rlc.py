@@ -8,11 +8,13 @@ distinct values. There is no further entropy-coding stage (bypass mode).
 
 An attribute group is its channels' streams concatenated, channel-major.
 Channel streams are independent, so a group is coded in spans of channels
-(see _pool): each span is flattened channel-major with a run break forced at
-every channel start, tokenized at once and packed with one varint_pack call,
-and the spans' bytes are joined in order. Decoding unpacks the group once,
-walks its channels in order, and expands each span of channels with one
-repeat into its columns of the output. A single channel (rlc_encode,
+on the pool (see _pool): each span is flattened channel-major with a run
+break forced at every channel start, tokenized at once and packed with one
+varint_pack call, and the spans' bytes are joined in order. Decoding
+unpacks the group once, walks its channels in order, and expands each span
+of channels with one repeat into its columns of the output, on the calling
+thread: np.repeat holds the interpreter lock, so tasks would not overlap,
+and the spans bound the temporaries. A single channel (rlc_encode,
 rlc_decode) is the one-channel case of the same kernels, and varint_pack and
 _varint_unpack hold the only LEB128 writer and decoding rule of the codec.
 
@@ -292,7 +294,7 @@ def decode_groups(payloads, layout: AttributeLayout, anchor_count: int):
     """Decode the attribute groups and measure their channel streams.
 
     Each group is parsed with one varint pass; spans of its channels are
-    then expanded straight into their columns of the output. Returns
+    then expanded on the calling thread straight into their columns. Returns
     (matrices, channel_bytes), dicts keyed by group name: the
     (anchor_count, dims) int32 matrix, column-major so that each channel is
     contiguous, and each channel's serialized byte length as found in the
@@ -324,7 +326,7 @@ def decode_groups(payloads, layout: AttributeLayout, anchor_count: int):
             out.T[a:b] = np.repeat(values.astype(np.int32), runs).reshape(b - a, anchor_count)
             return True
 
-        if not all(run(expand, spans(dims, anchor_count))):
+        if not all([expand(a, b) for a, b in spans(dims, anchor_count)]):
             raise CorruptStreamError(f"{name} values overflow int32")
         matrices[name] = out
         channel_bytes[name] = channels.nbytes

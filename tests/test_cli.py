@@ -1,12 +1,13 @@
 import os
 import re
+import warnings
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
 from voxgs import AttributeLayout, generate_synthetic, write_anchor_file
-from voxgs import cli
+from voxgs import _pool
 from voxgs import container as cont
 from voxgs.cli import MAX_SWEEP_ANCHORS, main
 from voxgs.rlc import MAX_ELEMENTS
@@ -334,44 +335,33 @@ class TestSweep:
         assert isinstance(result.exception, SystemExit)
         assert "Invalid value for '--seed'" in result.output
 
-    @pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5"])
-    def test_thread_cap_not_a_positive_integer_exit_2(self, runner, monkeypatch, value):
-        monkeypatch.setenv("VOXGS_THREADS", value)
-        result = runner.invoke(
-            main, ["sweep", "--axis", "q_p", "--values", "128,256", "--synthetic", "10"]
-        )
+    def test_input_without_anchors_exit_2_before_any_point(self, runner, tmp_path, monkeypatch):
+        path = tmp_path / "empty.txt"
+        path.write_text("voxgs-anchors 1\nanchors 0\nk 2\nm 3\nbbox 0 0 0 1 1 1\n")
+
+        def no_point(*args, **kwargs):
+            raise AssertionError("a sweep point ran")
+
+        monkeypatch.setattr(cont, "quantize_cloud_kept", no_point)
+        args = ["sweep", "--axis", "q_p", "--values", "128,256", "--input", str(path)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = runner.invoke(main, args)
         assert result.exit_code == 2, result.output
         assert isinstance(result.exception, SystemExit)
-        assert result.output == f"error: VOXGS_THREADS must be a positive integer, not '{value}'\n"
+        assert result.output == f"error: {path} holds no anchors; there is nothing to sweep\n"
+        assert "Warning" not in result.output
 
-    def test_thread_cap_one(self, runner, monkeypatch):
-        monkeypatch.setenv("VOXGS_THREADS", "1")
-        args = ["sweep", "--axis", "q_p", "--values", "128,256", "--synthetic", "50"]
-        result = runner.invoke(main, args)
-        assert result.exit_code == 0, result.output
-        monkeypatch.delenv("VOXGS_THREADS")
-        assert runner.invoke(main, args).output == result.output
-
-    @pytest.mark.parametrize("env,workers,expected", [(None, 1, 1), (None, 3, 3), ("2", 1, 2)])
-    def test_thread_cap_defaults_to_codec_workers(self, runner, monkeypatch, env, workers, expected):
-        # The codec's worker count follows the CPU affinity mask; os.cpu_count() does not.
-        seen = []
-        pool_type = cli.ThreadPoolExecutor
-
-        def spy(max_workers):
-            seen.append(max_workers)
-            return pool_type(max_workers=max_workers)
-
-        monkeypatch.setattr(cli, "ThreadPoolExecutor", spy)
-        monkeypatch.setattr(cli, "WORKERS", workers)
-        if env is None:
-            monkeypatch.delenv("VOXGS_THREADS", raising=False)
-        else:
-            monkeypatch.setenv("VOXGS_THREADS", env)
-        args = ["sweep", "--axis", "q_p", "--values", "128,256,512", "--synthetic", "50"]
-        result = runner.invoke(main, args)
-        assert result.exit_code == 0, result.output
-        assert seen == [expected]
+    def test_csv_same_for_any_worker_count_and_task_size(self, runner, monkeypatch):
+        args = ["sweep", "--axis", "q_p", "--values", "128,256,512", "--synthetic", "300"]
+        expected = runner.invoke(main, args)
+        assert expected.exit_code == 0, expected.output
+        monkeypatch.setattr(_pool, "_TASK_ELEMENTS", 64)
+        for workers in (1, 2):
+            monkeypatch.setattr(_pool, "WORKERS", workers)
+            result = runner.invoke(main, args)
+            assert result.exit_code == 0, result.output
+            assert result.output == expected.output
 
 
 class TestOutputPath:

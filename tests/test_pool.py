@@ -79,6 +79,29 @@ class TestHelper:
         with pytest.raises(ValueError, match="^span 12$"):
             pool.run(fail_from_12, ranges)
 
+    def test_run_inside_a_task_runs_inline(self):
+        # Every worker runs a task that calls run with more ranges than there
+        # are workers. Were the inner ranges queued on the same pool, each
+        # worker would wait on work that no free worker can take.
+        code = (
+            "import threading, voxgs._pool as p; p.WORKERS = 2; "
+            "inner = lambda a, _: p.run(lambda c, _: (a, c, threading.current_thread().name), "
+            "[(c, c + 1) for c in range(5)]); "
+            "out = p.run(inner, [(a, a + 1) for a in range(4)]); "
+            "print([[t[:2] for t in r] for r in out]); "
+            "print(all(len({t[2] for t in r}) == 1 and r[0][2].startswith('voxgs') for r in out))"
+        )
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(voxgs.__file__)))
+        try:
+            out = subprocess.run(
+                [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+            )
+        except subprocess.TimeoutExpired:
+            pytest.fail("a run called inside a pool task did not return")
+        assert out.returncode == 0, out.stderr
+        expected = [[(a, c) for c in range(5)] for a in range(4)]
+        assert out.stdout == f"{expected}\nTrue\n"
+
     @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity")
     def test_workers_follow_the_affinity_mask(self):
         cpu = min(os.sched_getaffinity(0))
@@ -346,6 +369,7 @@ def test_forked_child_codes_after_a_pooled_encode(monkeypatch):
 @pytest.mark.parametrize("anchors,pooled", [(1000, False), (20_000, True)])
 def test_small_inputs_stay_on_the_calling_thread(monkeypatch, anchors, pooled):
     # 1000 anchors of k=10, m=50 is the largest cloud of the clouds-small benchmark.
+    # Decode never submits: its expansion holds the interpreter lock.
     monkeypatch.setattr(pool, "WORKERS", 2)
     submitted = []
     submit = ThreadPoolExecutor.submit
@@ -357,7 +381,10 @@ def test_small_inputs_stay_on_the_calling_thread(monkeypatch, anchors, pooled):
     monkeypatch.setattr(ThreadPoolExecutor, "submit", spy)
     fcloud = generate_synthetic(77, anchors, LAYOUT, run_bias=0.5)
     blob = encode_container(quantize_cloud(fcloud, QUANT))
+    assert bool(submitted) == pooled
+    submitted.clear()
     decode_container(blob)
+    assert submitted == []
     analyze_container(blob)
     assert bool(submitted) == pooled
 
