@@ -322,7 +322,22 @@ def analyze_container(data: bytes):
 
 
 def write_anchor_file(path, fcloud: FloatAnchorCloud) -> None:
+    """Write fcloud in the anchor text format read_anchor_file parses.
+
+    Each row is positions, offsets, features and scalings, every value
+    formatted "%.17g" (exact for float64; nan, inf and -inf as such),
+    separated by single spaces and ended by "\\n": the bytes
+    np.savetxt(fh, rows, fmt="%.17g") writes. The rows go out in spans of
+    _pool.spans rows. Within a span each column's values are grouped by
+    their bit pattern, so -0.0 stays apart from 0.0, and each distinct
+    value is formatted once; the span's strings are gathered back into row
+    order and written with one join. Formatting holds the interpreter lock,
+    so the spans run on the calling thread.
+    """
     layout = fcloud.layout
+    groups = (fcloud.positions, fcloud.offsets, fcloud.features, fcloud.scalings)
+    columns = [group[:, j] for group in groups for j in range(group.shape[1])]
+    formats = ["%.17g "] * (len(columns) - 1) + ["%.17g\n"]
     with open(path, "w") as fh:
         fh.write("voxgs-anchors 1\n")
         fh.write(f"anchors {fcloud.anchor_count}\n")
@@ -331,8 +346,13 @@ def write_anchor_file(path, fcloud: FloatAnchorCloud) -> None:
         fh.write("bbox " + " ".join(f"{v:.17g}" for v in fcloud.bbox.ravel()) + "\n")
         if fcloud.mlp_blob:
             fh.write("mlp " + binascii.hexlify(fcloud.mlp_blob).decode() + "\n")
-        rows = np.hstack([fcloud.positions, fcloud.offsets, fcloud.features, fcloud.scalings])
-        np.savetxt(fh, rows, fmt="%.17g")
+        for start, stop in spans(fcloud.anchor_count, len(columns)):
+            block = np.empty((stop - start, len(columns)), dtype=object)
+            for c, (column, fmt) in enumerate(zip(columns, formats)):
+                bits, inverse = np.unique(column[start:stop].view(np.int64), return_inverse=True)
+                text = list(map(fmt.__mod__, bits.view(np.float64).tolist()))
+                block[:, c] = np.array(text, dtype=object)[inverse]
+            fh.write("".join(block.ravel().tolist()))
 
 
 def read_anchor_file(path) -> FloatAnchorCloud:

@@ -79,11 +79,18 @@ def voxelize(points, q_p: int, bbox):
     if not np.all(np.isfinite(box)):
         raise ValueError("bounding box must be finite")
     lo, hi = box[0], box[1]
-    extent = hi - lo
+    # hi - lo and extent * q_p may overflow; the checks below refuse that, so
+    # numpy's warning is not wanted. extent * q_p bounds dequantize_cloud's
+    # grid * extent, which must stay finite for the decoded file to re-encode.
+    with np.errstate(over="ignore"):
+        extent = hi - lo
+        finite_span = np.isfinite(extent * q_p)
     if not np.all(np.isfinite(pts)):
         raise ValueError("positions must be finite")
     if np.any(extent <= 0):
         raise ValueError("bounding box must have positive extent on every axis")
+    if not np.all(finite_span):
+        raise ValueError(f"bounding box extent times q_p={q_p} overflows float64")
     if pts.size and (np.any(pts < lo) or np.any(pts > hi)):
         bad = np.flatnonzero(((pts < lo) | (pts > hi)).any(axis=1))[0]
         raise ValueError(f"point {bad} lies outside the bounding box")

@@ -321,9 +321,11 @@ def decode_groups(payloads, layout: AttributeLayout, anchor_count: int):
 
         def expand(a, b):
             values, runs = channels.tokens_of(a, b)
-            if values.size and (values.min() < -(2**31) or values.max() > 2**31 - 1):
+            try:
+                values = _as_2d(values[:, None], np.int32, 1, name)[:, 0]
+            except ValueError:
                 return False
-            out.T[a:b] = np.repeat(values.astype(np.int32), runs).reshape(b - a, anchor_count)
+            out.T[a:b] = np.repeat(values, runs).reshape(b - a, anchor_count)
             return True
 
         if not all([expand(a, b) for a, b in spans(dims, anchor_count)]):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from voxgs import AttributeLayout, generate_synthetic, write_anchor_file
+from voxgs import AttributeLayout, FloatAnchorCloud, generate_synthetic, write_anchor_file
 from voxgs import _pool
 from voxgs import container as cont
 from voxgs.cli import MAX_SWEEP_ANCHORS, main
@@ -133,6 +133,47 @@ class TestDecode:
         assert runner.invoke(main, ["decode", str(c1), str(back)]).exit_code == 0
         assert runner.invoke(main, ["encode", str(back), str(c2)]).exit_code == 0
         assert c1.read_bytes() == c2.read_bytes()
+
+    @staticmethod
+    def _wide_box_file(path, half):
+        rng = np.random.default_rng(14)
+        positions = np.vstack([[-half] * 3, [half] * 3, rng.uniform(-1, 1, (30, 3)) * half])
+        n = len(positions)
+        fcloud = FloatAnchorCloud(
+            positions=positions,
+            offsets=rng.integers(-4, 5, (n, 3)).astype(np.float64),
+            features=rng.integers(-4, 5, (n, 2)).astype(np.float64),
+            scalings=np.zeros((n, 6)),
+            layout=AttributeLayout(k=1, m=2),
+            bbox=np.array([[-half] * 3, [half] * 3]),
+        )
+        write_anchor_file(path, fcloud)
+
+    @pytest.mark.parametrize("half", [1.7e308, 1e305])
+    def test_box_whose_span_overflows_exit_2(self, runner, tmp_path, half):
+        scene = tmp_path / "wide.txt"
+        self._wide_box_file(scene, half)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = runner.invoke(main, ["encode", str(scene), str(tmp_path / "o")])
+        assert result.exit_code == 2
+        assert isinstance(result.exception, SystemExit)
+        assert result.output.splitlines() == [
+            "error: bounding box extent times q_p=1024 overflows float64"
+        ]
+        assert not (tmp_path / "o").exists()
+
+    def test_wide_accepted_box_re_encodes_byte_identical(self, runner, tmp_path):
+        scene, back = tmp_path / "wide.txt", tmp_path / "back.txt"
+        c1, c2 = tmp_path / "c1.vxgs", tmp_path / "c2.vxgs"
+        self._wide_box_file(scene, 8e304)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for args in (["encode", scene, c1], ["decode", c1, back], ["encode", back, c2]):
+                result = runner.invoke(main, [str(a) for a in args])
+                assert result.exit_code == 0, result.output
+        assert c1.read_bytes() == c2.read_bytes()
+        assert "inf" not in back.read_text() and "nan" not in back.read_text()
 
     def test_corrupt_container_exit_3(self, runner, tmp_path):
         bad = tmp_path / "bad.vxgs"

@@ -1,5 +1,6 @@
 import dataclasses
 import errno
+import io
 import os
 import re
 import tracemalloc
@@ -7,6 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from voxgs import _pool
 from voxgs import container as cont
 from voxgs import (
     AnchorCloud,
@@ -399,6 +401,77 @@ class TestAnchorFile:
         cloud = quantize_cloud(parsed, QuantParams(q_p=512))
         decoded = decode_container(encode_container(cloud))
         assert decoded.equals(sort_by_morton(cloud))
+
+
+def _edge_rows(n):
+    """n rows of 23 columns (k=1, m=11): one column per edge case, the rest repeating."""
+    rng = np.random.default_rng(n)
+    rows = rng.integers(-3, 4, size=(n, 23)) / 7  # few distinct values, as in a decoded file
+    rows[:, 0] = rng.standard_normal(n) * 1e3  # every value distinct
+    rows[:, 1] = 0.1  # every value equal
+    rows[:, 4] = np.resize([0.0, -0.0, 0.0, -0.0, -0.0], n)  # both zeros in every span
+    rows[:, 9] = np.resize([np.nan, np.inf, -np.inf, 1.5, -np.nan, -np.inf], n)
+    rows[:, 22] = np.resize([5e-324, -1.7976931348623157e308, -0.0, 1 / 3], n)  # last column
+    return rows
+
+
+class TestAnchorFileBytes:
+    """write_anchor_file's rows are byte for byte what np.savetxt writes."""
+
+    LAYOUT = AttributeLayout(k=1, m=11)
+
+    def _assert_savetxt_bytes(self, path, fcloud):
+        write_anchor_file(path, fcloud)
+        rows = np.hstack([fcloud.positions, fcloud.offsets, fcloud.features, fcloud.scalings])
+        ref = io.BytesIO()
+        np.savetxt(ref, rows, fmt="%.17g")
+        data = path.read_bytes()
+        assert data.endswith(ref.getvalue())
+        assert data[: len(data) - len(ref.getvalue())].count(b"\n") == 5 + bool(fcloud.mlp_blob)
+
+    # 23 columns: a task size of 23 elements makes spans of 1 row, 64 of 2 rows.
+    @pytest.mark.parametrize("task_elements", [23, 64, None])
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 50])
+    def test_edge_columns(self, tmp_path, monkeypatch, task_elements, n):
+        if task_elements is not None:
+            monkeypatch.setattr(_pool, "_TASK_ELEMENTS", task_elements)
+        rows = _edge_rows(n)
+        od, m = self.LAYOUT.offset_dims, self.LAYOUT.m
+        fcloud = FloatAnchorCloud(
+            positions=rows[:, :3],
+            offsets=rows[:, 3 : 3 + od],
+            features=rows[:, 3 + od : 3 + od + m],
+            scalings=rows[:, 3 + od + m :],
+            layout=self.LAYOUT,
+            bbox=BOX,
+            mlp_blob=b"\x01\xfe",
+        )
+        self._assert_savetxt_bytes(tmp_path / "edge.txt", fcloud)
+
+    def test_synthetic_and_decoded_files(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(_pool, "_TASK_ELEMENTS", 1000)  # 11 rows a span at k=10, m=50
+        scene = _float_cloud(seed=2, anchors=300, k=10, m=50)
+        decoded = dequantize_cloud(decode_container(encode_container(
+            quantize_cloud(scene, QuantParams(q_p=64, q_o=4, q_a=8, q_s=16))
+        )))
+        for name, fcloud in (("scene", scene), ("decoded", decoded)):
+            self._assert_savetxt_bytes(tmp_path / f"{name}.txt", fcloud)
+
+    def test_peak_memory_bounded_by_spans(self, tmp_path):
+        # One object per value of the file would be as large as its float64
+        # values; the spans keep the peak under half of that.
+        scene = _float_cloud(seed=0, anchors=20_000, k=10, m=50, run_bias=0.5)
+        decoded = dequantize_cloud(decode_container(encode_container(
+            quantize_cloud(scene, QuantParams(q_p=1024, q_o=1, q_a=1, q_s=8))
+        )))
+        values = decoded.anchor_count * (3 + decoded.layout.total_dims) * 8
+        tracemalloc.start()
+        try:
+            write_anchor_file(tmp_path / "decoded.txt", decoded)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < values / 2
 
 
 class TestGenerateSynthetic:

@@ -195,6 +195,25 @@ class TestQuantizePositions:
             with pytest.raises(ValueError, match="bounding box"):
                 quantize_cloud(fcloud, QuantParams(q_p=16))
 
+    # hi - lo overflows at 1.7e308; at 1e305 the extent is finite but the
+    # dequantizer's grid * extent is not.
+    @pytest.mark.parametrize("half", [1.7e308, 1e305])
+    def test_box_whose_span_overflows_rejected_without_warning(self, half):
+        box = np.array([[-half] * 3, [half] * 3])
+        pts = np.array([[-half] * 3, [0.0] * 3, [half] * 3])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^bounding box extent times q_p=1024 overflows"):
+                voxelize(pts, 1024, box)
+
+    def test_wide_box_that_dequantizes_finite_accepted(self):
+        half = 8e304  # extent 1.6e305, times 1024 is still below the float64 max
+        box = np.array([[-half] * 3, [half] * 3])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            voxels, _, _ = voxelize(np.array([[-half] * 3, [half] * 3]), 1024, box)
+        assert voxels.tolist() == [[0, 0, 0], [1023, 1023, 1023]]
+
     def test_grid_limit(self):
         with pytest.raises(ValueError):
             quantize_positions(np.array([[0.5, 0.5, 0.5]]), (1 << 21) + 1, self.BOX)
