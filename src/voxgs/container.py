@@ -51,6 +51,7 @@ from .model import (
     FloatAnchorCloud,
     QuantParams,
     _as_2d,
+    _extent_overflow,
     validate,
 )
 from .quantize import dequantize_features, quantize_features, voxelize
@@ -208,6 +209,8 @@ def _parse_header(data: bytes):
         quant = QuantParams(q_p=q_p, q_o=scales[0], q_a=scales[1], q_s=scales[2])
     except ValueError as exc:
         raise CorruptStreamError(str(exc)) from exc
+    if overflow := _extent_overflow(bbox, q_p):
+        raise CorruptStreamError(overflow)
     if anchor_count * layout.total_dims > MAX_ELEMENTS:
         raise CorruptStreamError("attribute volume exceeds decoder limit")
 
@@ -247,14 +250,12 @@ def _decode(data: bytes):
     # levels holds more nodes than the anchor_count leaves.
     max_nodes = min(anchor_count * quant.depth, MAX_ELEMENTS)
     occupancy = rlc_decode(sections["geometry"], max_elements=max_nodes)
-    if occupancy.size and (occupancy.min() < 0 or occupancy.max() > 255):
-        raise CorruptStreamError("occupancy byte out of range")
+    try:
+        occupancy = _as_2d(occupancy[:, None], np.uint8, 1, "occupancy").tobytes()
+    except ValueError:
+        raise CorruptStreamError("occupancy byte out of range") from None
     positions = octree_decode(
-        OctreePayload(
-            depth=quant.depth,
-            occupancy_bytes=occupancy.astype(np.uint8).tobytes(),
-            point_count=anchor_count,
-        )
+        OctreePayload(depth=quant.depth, occupancy_bytes=occupancy, point_count=anchor_count)
     )
     if positions.size and positions.max() >= quant.q_p:
         raise CorruptStreamError("decoded voxel outside the q_p grid")

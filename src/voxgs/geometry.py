@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import CorruptStreamError
-from .model import MAX_GRID, AnchorCloud
+from .model import MAX_GRID, AnchorCloud, _as_2d
 
 _U = np.uint64
 
@@ -48,9 +48,9 @@ def _compact(v: np.ndarray) -> np.ndarray:
 
 def morton_encode(xyz) -> np.ndarray:
     """Interleave (x, y, z) triples into 63-bit Morton codes."""
-    arr = np.asarray(xyz, dtype=np.int64)
+    arr = np.asarray(xyz)
     single = arr.ndim == 1
-    arr = arr.reshape(-1, 3)
+    arr = _as_2d(arr.reshape(-1, 3), np.int64, 3, "coordinates")
     if arr.size and (arr.min() < 0 or arr.max() >= MAX_GRID):
         raise ValueError(f"coordinates must lie in [0, {MAX_GRID})")
     codes = (
@@ -63,9 +63,9 @@ def morton_encode(xyz) -> np.ndarray:
 
 def morton_decode(codes) -> np.ndarray:
     """Invert morton_encode; returns (n, 3) or (3,) int64 coordinates."""
-    arr = np.asarray(codes, dtype=np.uint64)
+    arr = np.asarray(codes)
     single = arr.ndim == 0
-    arr = np.atleast_1d(arr)
+    arr = _as_2d(arr.reshape(-1, 1), np.uint64, 1, "codes")[:, 0]
     out = np.empty((arr.size, 3), dtype=np.int64)
     out[:, 0] = _compact(arr).astype(np.int64)
     out[:, 1] = _compact(arr >> _U(1)).astype(np.int64)
@@ -102,7 +102,7 @@ class OctreePayload:
 
 def octree_encode(positions, depth: int) -> OctreePayload:
     """Serialize a duplicate-free voxel set as one occupancy byte per internal node."""
-    pos = np.asarray(positions, dtype=np.int64).reshape(-1, 3)
+    pos = _as_2d(np.reshape(positions, (-1, 3)), np.int64, 3, "positions")
     if depth < 0 or depth > 21:
         raise ValueError("octree depth must be in [0, 21]")
     if pos.size and (pos.min() < 0 or pos.max() >= (1 << depth)):

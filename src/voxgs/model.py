@@ -206,11 +206,26 @@ class ValidationReport:
         return iter(self.findings)
 
 
+def _extent_overflow(bbox, q_p: int):
+    """The finding if a finite bbox's extent times q_p overflows float64 on an axis, else None.
+
+    dequantize_cloud computes grid * extent / q_p with grid below q_p, so this
+    keeps every decoded position finite. Computed in Python floats, which
+    overflow to inf without a warning.
+    """
+    lo, hi = bbox.tolist()
+    if any(math.isinf((h - l) * float(q_p)) for l, h in zip(lo, hi)):
+        return f"bounding box extent times q_p={q_p} overflows float64"
+    return None
+
+
 def validate(cloud: AnchorCloud) -> ValidationReport:
     """Check cloud invariants; reports violations instead of raising."""
     report = ValidationReport()
     if not np.all(np.isfinite(cloud.bbox)):
         report.findings.append("bounding box has non-finite values")
+    elif overflow := _extent_overflow(cloud.bbox, cloud.quant.q_p):
+        report.findings.append(overflow)
     n = cloud.anchor_count
     pos = cloud.positions
     if pos.min(initial=0) < 0 or pos.max(initial=0) >= cloud.quant.q_p:

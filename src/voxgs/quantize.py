@@ -14,7 +14,7 @@ from fractions import Fraction
 import numpy as np
 
 from .geometry import morton_encode
-from .model import MAX_GRID
+from .model import MAX_GRID, _extent_overflow
 
 INT64_LIMIT = 2.0**63  # rounded magnitudes must stay below this to fit int64
 
@@ -79,18 +79,14 @@ def voxelize(points, q_p: int, bbox):
     if not np.all(np.isfinite(box)):
         raise ValueError("bounding box must be finite")
     lo, hi = box[0], box[1]
-    # hi - lo and extent * q_p may overflow; the checks below refuse that, so
-    # numpy's warning is not wanted. extent * q_p bounds dequantize_cloud's
-    # grid * extent, which must stay finite for the decoded file to re-encode.
-    with np.errstate(over="ignore"):
-        extent = hi - lo
-        finite_span = np.isfinite(extent * q_p)
     if not np.all(np.isfinite(pts)):
         raise ValueError("positions must be finite")
-    if np.any(extent <= 0):
+    # Compared, not subtracted: hi - lo may overflow, which the next check refuses.
+    if np.any(hi <= lo):
         raise ValueError("bounding box must have positive extent on every axis")
-    if not np.all(finite_span):
-        raise ValueError(f"bounding box extent times q_p={q_p} overflows float64")
+    if overflow := _extent_overflow(box, q_p):
+        raise ValueError(overflow)
+    extent = hi - lo
     if pts.size and (np.any(pts < lo) or np.any(pts > hi)):
         bad = np.flatnonzero(((pts < lo) | (pts > hi)).any(axis=1))[0]
         raise ValueError(f"point {bad} lies outside the bounding box")

@@ -11,12 +11,16 @@ Channel streams are independent, so a group is coded in spans of channels
 on the pool (see _pool): each span is flattened channel-major with a run
 break forced at every channel start, tokenized at once and packed with one
 varint_pack call, and the spans' bytes are joined in order. Decoding
-unpacks the group once, walks its channels in order, and expands each span
-of channels with one repeat into its columns of the output, on the calling
-thread: np.repeat holds the interpreter lock, so tasks would not overlap,
-and the spans bound the temporaries. A single channel (rlc_encode,
-rlc_decode) is the one-channel case of the same kernels, and varint_pack and
-_varint_unpack hold the only LEB128 writer and decoding rule of the codec.
+unpacks the group once, walks its channels in order and drops their count
+slots, so the group's tokens are one array of (run, zigzag value) pairs and
+a channel's tokens are a slice of it. Faults are checked in one order:
+varints, the walk, a run of zero, a channel count, trailing bytes, and last
+an int32 overflow. Each span of channels is then expanded with one repeat
+into its columns of the output, on the calling thread: np.repeat holds the
+interpreter lock, so tasks would not overlap, and the spans bound the
+temporaries. A single channel (rlc_encode, rlc_decode) is the one-channel
+case of the same kernels, and varint_pack and _varint_unpack hold the only
+LEB128 writer and decoding rule of the codec.
 
 The decoder also reports each channel's serialized byte length, read from
 the varint boundaries it parses anyway (decode_groups). Those are the bytes
@@ -180,55 +184,26 @@ def rlc_encode(values) -> RlcStream:
     return RlcStream(serialized=_encode_channels(seq))
 
 
-@dataclass(frozen=True)
-class _Channels:
-    """The parse of consecutive channel streams: where each channel's tokens are.
-
-    varints holds every varint of the buffer; channel c's tokens are the
-    (run, zigzag value) slot pairs from firsts[c] on, tokens[c] of them.
-    counts and nbytes are each channel's element count and byte length.
-    """
-
-    varints: np.ndarray
-    firsts: np.ndarray
-    tokens: np.ndarray
-    counts: list
-    nbytes: np.ndarray
-
-    def tokens_of(self, start: int, stop: int):
-        """(values, runs) of every token of channels start..stop, in stream order.
-
-        Raises on a run of zero, so the runs of each channel sum to its count
-        and every value is an element of it.
-        """
-        tokens = self.tokens[start:stop]
-        before = np.cumsum(tokens) - tokens
-        slots = np.repeat(self.firsts[start:stop] - 2 * before, tokens)
-        slots += 2 * np.arange(slots.size)
-        runs = self.varints[slots].astype(np.int64)
-        if np.any(runs < 1):
-            raise CorruptStreamError("run length of zero")
-        return zigzag_decode(self.varints[slots + 1]), runs
-
-
-def _parse_channels(data, dims: int, max_elements: int) -> _Channels:
+def _parse_channels(data, dims: int, max_elements: int):
     """Parse dims consecutive channel streams from the start of a byte buffer.
 
     Run sums come from one prefix sum per slot parity over the whole group.
     A channel's end is then a binary search within its own window of
     2 * count slots, so no channel scans the slots of the channels after it.
-    Each channel's byte length is taken from the varint boundaries of the
-    parse; they sum to len(data) exactly when no bytes follow the last
-    channel.
+    Returns (pairs, bounds, counts, nbytes): pairs holds each token as a
+    uint64 (run, zigzag value) row, channel c's at pairs[bounds[c]:bounds[c + 1]],
+    and nbytes each channel's byte length from the varint boundaries, which
+    sum to len(data) exactly when no bytes follow the last channel.
     """
     varints, ends = _varint_unpack(data)
     # Clipping keeps the prefix sums from wrapping; a clipped run still
-    # overshoots any count the caller accepts.
+    # overshoots any count the caller accepts. Freed before the pairs exist.
     clipped = np.minimum(varints, max_elements + 1).astype(np.int64)
     prefix = [np.concatenate(([0], np.cumsum(clipped[p::2]))) for p in (0, 1)]
+    del clipped
     counts = []
     firsts = []
-    tokens = []
+    bounds = [0]
     cursor = 0
     for _ in range(dims):
         if cursor >= varints.size:
@@ -247,12 +222,19 @@ def _parse_channels(data, dims: int, max_elements: int) -> _Channels:
             raise CorruptStreamError("truncated token stream")
         counts.append(count)
         firsts.append(first)
-        tokens.append(t)
-    tokens = np.asarray(tokens, dtype=np.int64)
+        bounds.append(bounds[-1] + t)
     firsts = np.asarray(firsts, dtype=np.int64)
-    # A channel's bytes end with the last byte of its last varint.
-    nbytes = np.diff(ends[firsts + 2 * tokens - 1] + 1, prepend=0)
-    return _Channels(varints, firsts, tokens, counts, nbytes)
+    # The inverse of _encode_channels' np.insert of the count slots, written
+    # back into varints: a new array would pin the freed parse temporaries.
+    keep = np.ones(cursor, dtype=bool)
+    keep[firsts - 1] = False
+    varints[: cursor - dims] = varints[:cursor][keep]
+    pairs = varints[: cursor - dims].reshape(-1, 2)
+    if not pairs[:, 0].all():
+        raise CorruptStreamError("run length of zero")
+    # A channel's bytes end with its last varint, the slot before the next count.
+    nbytes = np.diff(ends[np.append(firsts[1:] - 2, cursor - 1)] + 1, prepend=0)
+    return pairs, bounds, counts, nbytes
 
 
 def rlc_decode(data, max_elements: int = MAX_ELEMENTS) -> np.ndarray:
@@ -262,11 +244,10 @@ def rlc_decode(data, max_elements: int = MAX_ELEMENTS) -> np.ndarray:
     data = bytes(data)
     if not data:
         raise CorruptStreamError("empty stream")
-    channels = _parse_channels(data, 1, max_elements)
-    decoded = np.repeat(*channels.tokens_of(0, 1))
-    if channels.nbytes[0] != len(data):
+    pairs, _, _, nbytes = _parse_channels(data, 1, max_elements)
+    if nbytes[0] != len(data):
         raise CorruptStreamError("trailing bytes after stream")
-    return decoded
+    return np.repeat(zigzag_decode(pairs[:, 1]), pairs[:, 0].astype(np.int64))
 
 
 def encode_attributes(cloud: AnchorCloud):
@@ -293,9 +274,9 @@ def encode_attributes(cloud: AnchorCloud):
 def decode_groups(payloads, layout: AttributeLayout, anchor_count: int):
     """Decode the attribute groups and measure their channel streams.
 
-    Each group is parsed with one varint pass; spans of its channels are
-    then expanded on the calling thread straight into their columns. Returns
-    (matrices, channel_bytes), dicts keyed by group name: the
+    Each group is parsed with one varint pass; spans of its channels' tokens
+    are then expanded on the calling thread straight into their columns.
+    Returns (matrices, channel_bytes), dicts keyed by group name: the
     (anchor_count, dims) int32 matrix, column-major so that each channel is
     contiguous, and each channel's serialized byte length as found in the
     payload.
@@ -307,31 +288,25 @@ def decode_groups(payloads, layout: AttributeLayout, anchor_count: int):
     for name in GROUPS:
         dims = layout.dims_for(name)
         payload = payloads[name]
-        channels = _parse_channels(payload, dims, anchor_count)
-        wrong = [c for c, count in enumerate(channels.counts) if count != anchor_count]
-        if wrong or channels.nbytes.sum() != len(payload):
-            channels.tokens_of(0, dims)  # a run of zero is reported first
-            if wrong:
+        pairs, bounds, counts, nbytes = _parse_channels(payload, dims, anchor_count)
+        for c, count in enumerate(counts):
+            if count != anchor_count:
                 raise CorruptStreamError(
-                    f"{name} channel {wrong[0]} decodes {channels.counts[wrong[0]]} elements, "
-                    f"expected {anchor_count}"
+                    f"{name} channel {c} decodes {count} elements, expected {anchor_count}"
                 )
+        if nbytes.sum() != len(payload):
             raise CorruptStreamError(f"trailing bytes after {name} channels")
         out = np.empty((anchor_count, dims), dtype=np.int32, order="F")
-
-        def expand(a, b):
-            values, runs = channels.tokens_of(a, b)
+        for a, b in spans(dims, anchor_count):
+            # Copied, not strided views: that keeps a 10^5-anchor round's peak RSS lower.
+            runs, zigzag = pairs[bounds[a] : bounds[b]].T.copy()
             try:
-                values = _as_2d(values[:, None], np.int32, 1, name)[:, 0]
+                values = _as_2d(zigzag_decode(zigzag)[:, None], np.int32, 1, name)[:, 0]
             except ValueError:
-                return False
-            out.T[a:b] = np.repeat(values, runs).reshape(b - a, anchor_count)
-            return True
-
-        if not all([expand(a, b) for a, b in spans(dims, anchor_count)]):
-            raise CorruptStreamError(f"{name} values overflow int32")
+                raise CorruptStreamError(f"{name} values overflow int32") from None
+            out.T[a:b] = np.repeat(values, runs.astype(np.int64)).reshape(b - a, anchor_count)
         matrices[name] = out
-        channel_bytes[name] = channels.nbytes
+        channel_bytes[name] = nbytes
     return matrices, channel_bytes
 
 

@@ -6,11 +6,18 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from voxgs import AttributeLayout, FloatAnchorCloud, generate_synthetic, write_anchor_file
+from voxgs import (
+    AttributeLayout,
+    FloatAnchorCloud,
+    encode_container,
+    generate_synthetic,
+    write_anchor_file,
+)
 from voxgs import _pool
 from voxgs import container as cont
 from voxgs.cli import MAX_SWEEP_ANCHORS, main
 from voxgs.rlc import MAX_ELEMENTS
+from tests.test_container import _splice_box, _wide_box_cloud
 
 
 @pytest.fixture
@@ -174,6 +181,20 @@ class TestDecode:
                 assert result.exit_code == 0, result.output
         assert c1.read_bytes() == c2.read_bytes()
         assert "inf" not in back.read_text() and "nan" not in back.read_text()
+
+    @pytest.mark.parametrize("command", ["decode", "analyze"])
+    def test_container_whose_box_overflows_exit_3(self, runner, tmp_path, command):
+        wide = tmp_path / "wide.vxgs"
+        wide.write_bytes(_splice_box(encode_container(_wide_box_cloud(0.5)), 1e305))
+        args = [command, str(wide)] + ([str(tmp_path / "out.txt")] if command == "decode" else [])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = runner.invoke(main, args)
+        assert result.exit_code == 3
+        assert result.output.splitlines() == [
+            "corrupt container: bounding box extent times q_p=1024 overflows float64"
+        ]
+        assert not (tmp_path / "out.txt").exists()
 
     def test_corrupt_container_exit_3(self, runner, tmp_path):
         bad = tmp_path / "bad.vxgs"

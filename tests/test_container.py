@@ -3,7 +3,9 @@ import errno
 import io
 import os
 import re
+import struct
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -26,12 +28,33 @@ from voxgs import (
 from voxgs.container import MAGIC, analyze_container, quantize_cloud_kept, repeat_probability
 from voxgs.errors import AnchorFileError, CorruptStreamError
 from voxgs.geometry import sort_by_morton
-from voxgs.model import GROUPS
+from voxgs.model import GROUPS, validate
 from voxgs.quantize import quantize_positions
 from voxgs.rlc import MAX_ELEMENTS, rlc_encode
 from tests.conftest import assemble_container, random_cloud
 
 BOX = np.array([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]])
+
+
+def _wide_box_cloud(half):
+    """Five anchors on a 1024 grid inside the box [-half, half]^3."""
+    rng = np.random.default_rng(15)
+    return AnchorCloud(
+        positions=[[0, 0, 0], [1023, 1023, 1023], [5, 900, 17], [512, 3, 3], [7, 7, 7]],
+        offsets=rng.integers(-4, 5, (5, 3)),
+        features=rng.integers(-4, 5, (5, 2)),
+        scalings=np.zeros((5, 6)),
+        layout=AttributeLayout(k=1, m=2),
+        quant=QuantParams(q_p=1024),
+        bbox=np.array([[-half] * 3, [half] * 3]),
+    )
+
+
+def _splice_box(blob, half):
+    """blob with its box [-0.5, 0.5]^3 replaced by [-half, half]^3."""
+    old = struct.pack("<6d", *[-0.5] * 3, *[0.5] * 3)
+    assert blob.count(old) == 1
+    return blob.replace(old, struct.pack("<6d", *[-half] * 3, *[half] * 3))
 
 
 def _float_cloud(seed=0, anchors=200, k=2, m=4, **kwargs):
@@ -131,6 +154,18 @@ class TestContainerRoundTrip:
         with pytest.raises(ValueError, match="bounding box has non-finite values"):
             encode_container(dataclasses.replace(cloud, bbox=bbox))
 
+    # At +-1e305 the extent is finite but extent * q_p is not; at +-1.7e308
+    # the extent itself overflows.
+    @pytest.mark.parametrize("half", [1.7e308, 1e305])
+    def test_box_whose_extent_times_q_p_overflows_rejected(self, half):
+        cloud = _wide_box_cloud(half)
+        finding = "bounding box extent times q_p=1024 overflows float64"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert validate(cloud).findings == [finding]
+            with pytest.raises(ValueError, match=f"^invalid cloud: {finding}$"):
+                encode_container(cloud)
+
     @pytest.mark.parametrize(
         "anchors,q_p", [(0, 256), (1, 256), (50, 1024), (400, 256), (2000, 4), (3000, 2)]
     )
@@ -217,6 +252,29 @@ class TestDecodeErrors:
         sections = [rlc_encode([]).serialized] * 4
         with pytest.raises(CorruptStreamError, match="must not exceed"):
             decode_container(assemble_container(0, 64, 2**16 + 1, 1, sections))
+
+    @pytest.mark.parametrize("byte", [-1, 256, -(2**40), 2**40])
+    def test_occupancy_byte_out_of_range_is_corrupt(self, byte):
+        attributes = [rlc_encode([0]).serialized * dims for dims in (3, 1, 6)]
+        data = assemble_container(1, 2, 1, 1, [rlc_encode([byte]).serialized, *attributes])
+        with pytest.raises(CorruptStreamError, match="^occupancy byte out of range$"):
+            decode_container(data)
+
+    @pytest.mark.parametrize("half", [1.7e308, 1e305])
+    def test_box_whose_extent_times_q_p_overflows_is_corrupt(self, half):
+        # The encoder refuses such a box, but an older one wrote it: splice
+        # it into a container whose own box is the unit cube.
+        blob = encode_container(_wide_box_cloud(0.5))
+        wide = _splice_box(blob, half)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert decode_container(_splice_box(blob, 8e304)).anchor_count == 5
+            for parse in (decode_container, analyze_container):
+                with pytest.raises(
+                    CorruptStreamError,
+                    match="^bounding box extent times q_p=1024 overflows float64$",
+                ):
+                    parse(wide)
 
     def test_hostile_geometry_run_rejected_with_small_peak(self):
         # One anchor on a 2^21 grid, but a geometry section that is one run of

@@ -1,4 +1,5 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -62,6 +63,50 @@ class TestMorton:
         rng = np.random.default_rng(13)
         pts = rng.integers(0, 1 << 21, size=(100_000, 3), dtype=np.int64)
         assert np.array_equal(morton_decode(morton_encode(pts)), pts)
+
+
+class TestIntegerInput:
+    """The entry points take only integers, through the cloud types' narrowing gate."""
+
+    def test_fractional_coordinates_rejected(self):
+        with pytest.raises(ValueError, match="^coordinates must hold finite integers$"):
+            morton_encode([0.5, 0, 0])
+        with pytest.raises(ValueError, match="^positions must hold finite integers$"):
+            octree_encode([[0.7, 0, 0]], 1)
+        with pytest.raises(ValueError, match="^codes must hold finite integers$"):
+            morton_decode([7.5])
+
+    @pytest.mark.parametrize(
+        "value,message",
+        [(np.nan, "must hold finite integers"), (-np.inf, "must hold finite integers"),
+         (1e30, "integers overflow")],
+    )
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda v: morton_encode(np.array([[v, 0.0, 0.0]])),
+            lambda v: octree_encode(np.array([[0.0, v, 0.0]]), 2),
+            lambda v: morton_decode(np.array([0.0, v])),
+        ],
+        ids=["morton_encode", "octree_encode", "morton_decode"],
+    )
+    def test_non_finite_and_huge_floats_rejected_without_warning(self, call, value, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=message):
+                call(value)
+
+    def test_negative_code_rejected(self):
+        with pytest.raises(ValueError, match="^codes integers overflow uint64 storage$"):
+            morton_decode([-1])
+
+    def test_integral_floats_accepted(self):
+        assert morton_encode([1.0, 2.0, 3.0]) == morton_encode([1, 2, 3]) == 53
+        assert morton_decode(53.0).tolist() == [1, 2, 3]
+        pts = [[1, 0, 3], [2, 2, 2]]
+        expected = octree_encode(np.array(pts), 2)
+        assert octree_encode(np.array(pts, dtype=np.float64), 2) == expected
+        assert octree_encode(np.array(pts, dtype=np.uint8), 2) == expected
 
 
 class TestSortByMorton:

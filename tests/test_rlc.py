@@ -12,6 +12,7 @@ from voxgs import (
     RlcStream,
     decode_attributes,
     encode_attributes,
+    octree_encode,
     rlc_decode,
     rlc_encode,
 )
@@ -25,6 +26,7 @@ from voxgs.rlc import (
     zigzag_encode,
 )
 from tests.conftest import random_cloud
+from tests.test_pool import _single_faults, _varints
 
 
 def varint_len_oracle(value):
@@ -322,6 +324,78 @@ class TestRlcDecode:
         for _ in range(100):
             shuffled = rng.permutation(values)
             assert len(rlc_encode(shuffled).serialized) >= sorted_size
+
+
+def rlc_decode_reference(data, max_elements):
+    """rlc_decode by a plain scan of one channel, faults reported in the codec's order.
+
+    The stream fails when empty, then on its varints, then on its walk (count
+    above max_elements, runs not summing to the count, a token without its
+    value), then on a run of zero, and last on bytes after the channel.
+    """
+    if not data:
+        raise CorruptStreamError("empty stream")
+    varints, ends = _varints(data)
+    count = varints[0]
+    if count > max_elements:
+        raise CorruptStreamError(f"element count {count} exceeds limit {max_elements}")
+    total = tokens = 0
+    while total < count and tokens < count and 1 + 2 * tokens < len(varints):
+        total += min(varints[1 + 2 * tokens], max_elements + 1)
+        tokens += 1
+    if total != count:
+        raise CorruptStreamError("run lengths do not sum to the element count")
+    cursor = 1 + 2 * tokens
+    if cursor > len(varints):
+        raise CorruptStreamError("truncated token stream")
+    runs, zigzags = varints[1:cursor:2], varints[2:cursor:2]
+    if 0 in runs:
+        raise CorruptStreamError("run length of zero")
+    if ends[cursor - 1] + 1 != len(data):
+        raise CorruptStreamError("trailing bytes after stream")
+    values = [zz // 2 if zz % 2 == 0 else -(zz + 1) // 2 for zz in zigzags]
+    return [value for run, value in zip(runs, values) for _ in range(run)]
+
+
+def _decode_outcome(decode, data, max_elements):
+    try:
+        return list(decode(data, max_elements))
+    except CorruptStreamError as exc:
+        return str(exc)
+
+
+class TestRlcDecodeFaults:
+    def _geometry_stream(self):
+        cloud = random_cloud(np.random.default_rng(79), n=24, depth=4)
+        occupancy = octree_encode(cloud.positions, 4).occupancy_bytes
+        stream = rlc_encode(np.frombuffer(occupancy, dtype=np.uint8)).serialized
+        # The container's bound: no octree level holds more nodes than anchors.
+        return stream, cloud.anchor_count * 4
+
+    def test_single_faults_match_the_reference(self):
+        values = [1, 2, 0, 1, 2, 1, 1, 0, 0, -3, 2**40, -(2**40), 5, 5]
+        streams = [self._geometry_stream(), (rlc_encode(values).serialized, 1 << 26)]
+        seen = set()
+        for stream, max_elements in streams:
+            assert _decode_outcome(rlc_decode, stream, max_elements) == _decode_outcome(
+                rlc_decode_reference, stream, max_elements
+            )
+            for mutated in _single_faults(stream):
+                expected = _decode_outcome(rlc_decode_reference, mutated, max_elements)
+                assert _decode_outcome(rlc_decode, mutated, max_elements) == expected
+                if isinstance(expected, str):
+                    seen.add(expected)
+        # The mutations reach every fault a single byte can cause.
+        for kind in (
+            "empty stream",
+            "truncated varint at end of stream",
+            "element count",
+            "run lengths do not sum to the element count",
+            "truncated token stream",
+            "run length of zero",
+            "trailing bytes after stream",
+        ):
+            assert any(kind in message for message in seen), kind
 
 
 class TestAttributeCoding:
