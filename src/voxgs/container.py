@@ -81,9 +81,10 @@ def _varint_bytes(*values) -> bytes:
 def _quantize_rows(values: np.ndarray, kept: np.ndarray, scale):
     """quantize_features(values[kept], scale) as int32, quantized in spans of rows.
 
-    None if a span fails ste_round or holds a value int32 cannot.
+    Column-major (channel-major), as decoded groups are. None if a span fails
+    ste_round or holds a value int32 cannot.
     """
-    out = np.empty((kept.size, values.shape[1]), dtype=np.int32)
+    out = np.empty((kept.size, values.shape[1]), dtype=np.int32, order="F")
 
     def quantize(a, b):
         try:
@@ -284,6 +285,7 @@ def analyze_container(data: bytes):
 
     Actual bits are the container's own sizes: each section's length from
     the header and each attribute channel's length from the decoder.
+    Estimates run on the calling thread and sum in channel-major order.
     """
     cloud, channel_bytes, sections = _decode(data)
     actual = _section_bits(sections)
@@ -292,18 +294,13 @@ def analyze_container(data: bytes):
     channel_act = []
     for key in ("O", "A", "S"):
         name = _SECTIONS[key]
-        mat = cloud.group(name)
-        if mat.size == 0:
+        cols = cloud.group(name).T
+        if cols.size == 0:
             estimated[key] = 0.0
             continue
-        flat = mat.ravel()  # row-major, whatever the memory order: the sums keep their bits
+        flat = cols.ravel()  # a view: decoded groups are column-major
         estimated[key] = estimate_bits(fit_laplace(flat), flat)
-
-        def estimate(a, b):
-            return [estimate_bits(fit_laplace(col), col) for col in mat.T[a:b]]
-
-        for part in run(estimate, spans(mat.shape[1], mat.shape[0])):
-            channel_est.extend(part)
+        channel_est.extend(estimate_bits(fit_laplace(col), col) for col in cols)
         channel_act.extend(8 * channel_bytes[name])
 
     est_total = sum(estimated.values())

@@ -224,6 +224,8 @@ def validate(cloud: AnchorCloud) -> ValidationReport:
     report = ValidationReport()
     if not np.all(np.isfinite(cloud.bbox)):
         report.findings.append("bounding box has non-finite values")
+    elif np.any(cloud.bbox[1] <= cloud.bbox[0]):  # an inverted box can also read as overflow
+        report.findings.append("bounding box must have positive extent on every axis")
     elif overflow := _extent_overflow(cloud.bbox, cloud.quant.q_p):
         report.findings.append(overflow)
     n = cloud.anchor_count

@@ -70,8 +70,8 @@ def _septet(values: np.ndarray, j: int, more: np.ndarray) -> np.ndarray:
 
 
 def varint_pack(values: np.ndarray) -> bytes:
-    """Serialize an array of uint64 as concatenated LEB128 varints."""
-    v = np.ascontiguousarray(values, dtype=np.uint64)
+    """Serialize integers as concatenated LEB128 varints; ValueError unless uint64 holds each."""
+    v = _as_2d(np.reshape(values, (-1, 1)), np.uint64, 1, "values")[:, 0]
     if v.size == 0:
         return b""
     width = int(np.searchsorted(_VARINT_THRESHOLDS, v.max(), side="right")) + 1

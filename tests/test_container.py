@@ -20,6 +20,8 @@ from voxgs import (
     decode_container,
     dequantize_cloud,
     encode_container,
+    estimate_bits,
+    fit_laplace,
     generate_synthetic,
     quantize_cloud,
     read_anchor_file,
@@ -32,6 +34,8 @@ from voxgs.model import GROUPS, validate
 from voxgs.quantize import quantize_positions
 from voxgs.rlc import MAX_ELEMENTS, rlc_encode
 from tests.conftest import assemble_container, random_cloud
+from tests.test_golden import GOLDEN
+from tests.test_sizes import _golden
 
 BOX = np.array([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]])
 
@@ -100,6 +104,20 @@ class TestQuantizeCloud:
         again = quantize_cloud(deq, quant)
         assert again.equals(cloud)
 
+    @pytest.mark.parametrize("task_elements", [None, 64], ids=["one-span", "many-spans"])
+    def test_groups_are_column_major(self, monkeypatch, task_elements):
+        # The container's channel-major order, as decoded groups have it, so
+        # encoding reads each channel without a transposing copy.
+        if task_elements:
+            monkeypatch.setattr(_pool, "_TASK_ELEMENTS", task_elements)
+        fcloud = _float_cloud(seed=3, anchors=300, k=3, m=8)
+        cloud = quantize_cloud(fcloud, QuantParams(q_p=256))
+        assert (len(_pool.spans(cloud.anchor_count, 8)) > 1) == bool(task_elements)
+        decoded = decode_container(encode_container(cloud))
+        for name in GROUPS:
+            assert cloud.group(name).flags.f_contiguous, name
+            assert decoded.group(name).flags.f_contiguous, name
+
     def test_dequantize_positions_in_bbox(self):
         cloud = quantize_cloud(_float_cloud(seed=2), QuantParams(q_p=64))
         deq = dequantize_cloud(cloud)
@@ -160,6 +178,21 @@ class TestContainerRoundTrip:
     def test_box_whose_extent_times_q_p_overflows_rejected(self, half):
         cloud = _wide_box_cloud(half)
         finding = "bounding box extent times q_p=1024 overflows float64"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert validate(cloud).findings == [finding]
+            with pytest.raises(ValueError, match=f"^invalid cloud: {finding}$"):
+                encode_container(cloud)
+
+    # Inverted on x, flat on x, and inverted by more than float64 spans, which
+    # also reads as overflow: the extent finding is the one reported.
+    @pytest.mark.parametrize(
+        "lo,hi", [(1, 0), (0, 0), (1e308, -1e308)], ids=["inverted", "flat", "inverted-huge"]
+    )
+    def test_box_without_positive_extent_rejected(self, lo, hi):
+        bbox = np.array([[lo, 0.0, 0.0], [hi, 1.0, 1.0]])
+        cloud = dataclasses.replace(_wide_box_cloud(0.5), bbox=bbox)
+        finding = "bounding box must have positive extent on every axis"
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert validate(cloud).findings == [finding]
@@ -259,6 +292,18 @@ class TestDecodeErrors:
         data = assemble_container(1, 2, 1, 1, [rlc_encode([byte]).serialized, *attributes])
         with pytest.raises(CorruptStreamError, match="^occupancy byte out of range$"):
             decode_container(data)
+
+    def test_inverted_box_still_decodes(self):
+        # The encoder refuses such a box, but an older one wrote it, and the
+        # format keeps every container it wrote decodable.
+        cloud = _wide_box_cloud(0.5)
+        inverted = _splice_box(encode_container(cloud), -0.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            decoded = decode_container(inverted)
+            analyze_container(inverted)
+        assert np.array_equal(decoded.bbox, [[0.5] * 3, [-0.5] * 3])
+        assert decoded.equals(dataclasses.replace(sort_by_morton(cloud), bbox=decoded.bbox))
 
     @pytest.mark.parametrize("half", [1.7e308, 1e305])
     def test_box_whose_extent_times_q_p_overflows_is_corrupt(self, half):
@@ -583,6 +628,29 @@ class TestAnalyzeContainer:
         assert report.actual_bits["MLP"] == 64 * 8
         assert report.alpha > 0
         assert report.total_bits > 0
+
+    @pytest.mark.parametrize("golden", GOLDEN[:3])
+    def test_estimates_run_in_channel_major_order(self, monkeypatch, golden):
+        # Each group's estimate is taken over its channels one after another,
+        # then each channel's, in the container's own order, bit for bit.
+        blob = _golden(*golden[:6])[1]
+        cloud = decode_container(blob)
+        groups, expected = [], []
+        for name in GROUPS:
+            cols = cloud.group(name).T
+            groups.append(estimate_bits(fit_laplace(cols.ravel()), cols.ravel()))
+            expected += [groups[-1]] + [estimate_bits(fit_laplace(col), col) for col in cols]
+        calls = []
+
+        def spy(model, symbols):
+            calls.append(estimate_bits(model, symbols))
+            return calls[-1]
+
+        monkeypatch.setattr(cont, "estimate_bits", spy)
+        report = analyze_container(blob)
+        assert [v.hex() for v in calls] == [v.hex() for v in expected]
+        reported = [report.estimated_bits[key] for key in ("O", "A", "S")]
+        assert [v.hex() for v in reported] == [v.hex() for v in groups]
 
     def test_empty_mlp_share_zero(self):
         blob = encode_container(

@@ -369,7 +369,8 @@ def test_forked_child_codes_after_a_pooled_encode(monkeypatch):
 @pytest.mark.parametrize("anchors,pooled", [(1000, False), (20_000, True)])
 def test_small_inputs_stay_on_the_calling_thread(monkeypatch, anchors, pooled):
     # 1000 anchors of k=10, m=50 is the largest cloud of the clouds-small benchmark.
-    # Decode never submits: its expansion holds the interpreter lock.
+    # Decode and analyze never submit: decode's expansion holds the interpreter
+    # lock, and analyze's per-channel fits measured slower on the pool.
     monkeypatch.setattr(pool, "WORKERS", 2)
     submitted = []
     submit = ThreadPoolExecutor.submit
@@ -386,7 +387,7 @@ def test_small_inputs_stay_on_the_calling_thread(monkeypatch, anchors, pooled):
     decode_container(blob)
     assert submitted == []
     analyze_container(blob)
-    assert bool(submitted) == pooled
+    assert submitted == []
 
 
 def test_decode_peak_memory_below_the_whole_group_expansion():

@@ -143,6 +143,22 @@ class TestVarint:
         assert packed == b"".join(leb128_oracle(int(x)) for x in v)
         assert np.array_equal(varint_unpack_all(packed), v)
 
+    @pytest.mark.parametrize(
+        "values",
+        [[-1], [0, -(2**63)], [1.5], [np.nan], [np.inf], [-np.inf], [2.0**64], [1e30]],
+        ids=["negative", "int64-min", "fractional", "nan", "inf", "-inf", "2**64", "1e30"],
+    )
+    def test_values_uint64_cannot_hold_rejected_without_warning(self, values):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^values "):
+                varint_pack(np.array(values))
+
+    def test_integral_float_and_empty_input(self):
+        assert varint_pack(np.array([3.0])) == b"\x03"
+        assert varint_pack(np.array([], dtype=np.int64)) == b""
+        assert varint_pack(np.array([5, 300], dtype=np.int64)) == b"\x05\xac\x02"
+
     def test_truncated(self):
         with pytest.raises(CorruptStreamError):
             varint_unpack_all(b"\x80")
