@@ -60,10 +60,12 @@ from .rlc import (
     MAX_ELEMENTS,
     decode_groups,
     encode_attributes,
+    parse_groups,
     read_varints,
     rlc_decode,
     rlc_encode,
     varint_pack,
+    zigzag_decode,
 )
 
 MAGIC = b"VXGS"
@@ -244,7 +246,7 @@ def section_bits(data: bytes) -> dict:
 
 
 def _decode(data: bytes):
-    """decode_container plus each channel's byte length by group, and the parsed sections."""
+    """(anchor_count, quant, layout, bbox, sections, positions); checks all but the groups."""
     anchor_count, quant, layout, bbox, sections = _parse_header(data)
 
     # Each internal node has one occupancy byte, and none of the depth
@@ -260,48 +262,60 @@ def _decode(data: bytes):
     )
     if positions.size and positions.max() >= quant.q_p:
         raise CorruptStreamError("decoded voxel outside the q_p grid")
-
-    groups, channel_bytes = decode_groups(sections, layout, anchor_count)
-    cloud = AnchorCloud(
-        positions=positions,
-        offsets=groups["offsets"],
-        features=groups["features"],
-        scalings=groups["scalings"],
-        layout=layout,
-        quant=quant,
-        bbox=bbox,
-        mlp_blob=sections["mlp"],
-    )
-    return cloud, channel_bytes, sections
+    return anchor_count, quant, layout, bbox, sections, positions
 
 
 def decode_container(data: bytes) -> AnchorCloud:
     """Parse and fully verify a container; returns the cloud in Morton order."""
-    return _decode(data)[0]
+    anchor_count, quant, layout, bbox, sections, positions = _decode(data)
+    groups, _ = decode_groups(sections, layout, anchor_count)
+    return AnchorCloud(
+        positions=positions, **groups, layout=layout, quant=quant, bbox=bbox, mlp_blob=sections["mlp"]
+    )
+
+
+def _value_counts(values: np.ndarray, weights: np.ndarray):
+    """(distinct values, summed weights) as int64, by rate._symbol_table's rule:
+    a bincount over min..max when that range is no longer than the values, else np.unique."""
+    lo, hi = int(values.min()), int(values.max())
+    if hi - lo < values.size:
+        summed = np.bincount(values - lo, weights, hi - lo + 1)
+        distinct = np.flatnonzero(summed)
+        return distinct + lo, summed[distinct].astype(np.int64)
+    distinct, inverse = np.unique(values, return_inverse=True)
+    return distinct, np.bincount(inverse, weights).astype(np.int64)
 
 
 def analyze_container(data: bytes):
     """Build a RateReport (actual vs Laplace-estimated bits) for a container.
 
     Actual bits are the container's own sizes: each section's length from
-    the header and each attribute channel's length from the decoder.
-    Estimates run on the calling thread and sum in channel-major order.
+    the header and each attribute channel's length from the decoder. The
+    container is checked as decode_container checks it but never expanded:
+    fits and estimates take each channel's distinct token values and summed
+    run lengths, span by span as decode expands, and the group's, merged.
     """
-    cloud, channel_bytes, sections = _decode(data)
+    anchor_count, _, layout, _, sections, _ = _decode(data)
     actual = _section_bits(sections)
-    estimated = {}
+    estimated = dict.fromkeys("OAS", 0.0)
     channel_est = []
     channel_act = []
-    for key in ("O", "A", "S"):
-        name = _SECTIONS[key]
-        cols = cloud.group(name).T
-        if cols.size == 0:
-            estimated[key] = 0.0
+    for key, (_, pairs, bounds, nbytes) in zip("OAS", parse_groups(sections, layout, anchor_count)):
+        if anchor_count == 0:
             continue
-        flat = cols.ravel()  # a view: decoded groups are column-major
-        estimated[key] = estimate_bits(fit_laplace(flat), flat)
-        channel_est.extend(estimate_bits(fit_laplace(col), col) for col in cols)
-        channel_act.extend(8 * channel_bytes[name])
+        distinct, counts = [], []
+        for a, b in spans(len(bounds) - 1, anchor_count):
+            runs, zigzag = pairs[bounds[a] : bounds[b]].T
+            values = zigzag_decode(zigzag)
+            ends = np.subtract(bounds[a : b + 1], bounds[a])
+            for lo, hi in zip(ends[:-1], ends[1:]):
+                v, n = _value_counts(values[lo:hi], runs[lo:hi])
+                channel_est.append(estimate_bits(fit_laplace(v, n), v, n))
+                distinct.append(v)
+                counts.append(n)
+        v, n = _value_counts(np.concatenate(distinct), np.concatenate(counts))
+        estimated[key] = estimate_bits(fit_laplace(v, n), v, n)
+        channel_act.extend(8 * nbytes)
 
     est_total = sum(estimated.values())
     alpha = (

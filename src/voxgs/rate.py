@@ -16,6 +16,11 @@ bit, and every sum still runs over the full per-symbol array in stream order,
 so totals keep their bits too. Wide integer streams and every float stream
 are evaluated directly, in pieces of _BLOCK symbols. Both functions share
 one evaluator, _per_symbol, that makes this choice.
+
+Given counts, each value's multiplicity (analyze_container reads them off
+run-length tokens), fit_laplace and estimate_bits weight their sums by them
+instead of repeating the values. Where integer sums stay below 2**53 the mean
+keeps its bits; variance and bits may move in the last bits (never without counts).
 """
 
 from __future__ import annotations
@@ -53,18 +58,33 @@ class LaplaceModel:
             raise ValueError("Laplace scale must be positive")
 
 
-def fit_laplace(values) -> LaplaceModel:
+def _multiplicities(counts, values) -> np.ndarray:
+    """counts as int64; ValueError unless it has values' shape and non-negative integers."""
+    if np.shape(counts) != np.shape(values):
+        raise ValueError(f"counts must have the shape of values {np.shape(values)}")
+    weights = _as_2d(np.reshape(counts, (-1, 1)), np.int64, 1, "counts")[:, 0]
+    if weights.size and weights.min() < 0:
+        raise ValueError("counts must be non-negative")
+    return weights
+
+
+def fit_laplace(values, counts=None) -> LaplaceModel:
     """Fit mu and sigma by moments (population variance) and derive b = sigma/sqrt(2)."""
     arr = np.asarray(values).ravel()
-    if arr.size == 0:
+    weights = None if counts is None else _multiplicities(counts, values)
+    total = arr.size if weights is None else int(weights.sum())
+    if total == 0:
         raise ValueError("cannot fit a Laplace model to an empty sequence")
     # Integers whose sums stay below 2**53 sum exactly in any order: no float64 copy needed.
-    if arr.dtype.kind not in "iu" or max(-int(arr.min()), int(arr.max())) * arr.size >= 2**53:
+    if arr.dtype.kind not in "iu" or max(-int(arr.min()), int(arr.max())) * total >= 2**53:
         arr = np.asarray(arr, dtype=np.float64)
         if not np.all(np.isfinite(arr)):
             raise ValueError("fit_laplace requires finite input")
-    mu = float(arr.mean())
-    sigma = float(arr.std())
+    if weights is None:
+        mu, sigma = float(arr.mean()), float(arr.std())
+    else:
+        mu = float((weights * arr).sum() / total)
+        sigma = math.sqrt(float((weights * np.square(arr - mu)).sum()) / total)
     b = max(sigma / _SQRT2, B_MIN)
     return LaplaceModel(mu=mu, b=b, sigma=sigma)
 
@@ -162,9 +182,10 @@ def nll_bits_and_grads(x, mu: float, b: float):
     return tuple(_per_symbol(lambda v: _nll_terms(v, mu, b), x, 4))
 
 
-def estimate_bits(model: LaplaceModel, values) -> float:
+def estimate_bits(model: LaplaceModel, values, counts=None) -> float:
     """Total cross-entropy bits of an integer sequence under the model."""
-    return float(_per_symbol(lambda v: (nll_bits(model, v),), values, 1)[0].sum())
+    bits = _per_symbol(lambda v: (nll_bits(model, v),), values, 1)[0]
+    return float((bits if counts is None else _multiplicities(counts, values) * bits).sum())
 
 
 def pearson(xs, ys):
@@ -176,7 +197,8 @@ def pearson(xs, ys):
     sy = y.std()
     if sx == 0.0 or sy == 0.0:
         return None
-    return float(((x - x.mean()) * (y - y.mean())).mean() / (sx * sy))
+    # Rounding can carry the quotient just past 1 in magnitude, as on two points.
+    return float(np.clip(((x - x.mean()) * (y - y.mean())).mean() / (sx * sy), -1.0, 1.0))
 
 
 @dataclass(frozen=True)

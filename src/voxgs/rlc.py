@@ -10,17 +10,17 @@ An attribute group is its channels' streams concatenated, channel-major.
 Channel streams are independent, so a group is coded in spans of channels
 on the pool (see _pool): each span is flattened channel-major with a run
 break forced at every channel start, tokenized at once and packed with one
-varint_pack call, and the spans' bytes are joined in order. Decoding
-unpacks the group once, walks its channels in order and drops their count
-slots, so the group's tokens are one array of (run, zigzag value) pairs and
-a channel's tokens are a slice of it. Faults are checked in one order:
-varints, the walk, a run of zero, a channel count, trailing bytes, and last
-an int32 overflow. Each span of channels is then expanded with one repeat
-into its columns of the output, on the calling thread: np.repeat holds the
-interpreter lock, so tasks would not overlap, and the spans bound the
-temporaries. A single channel (rlc_encode, rlc_decode) is the one-channel
-case of the same kernels, and varint_pack and _varint_unpack hold the only
-LEB128 writer and decoding rule of the codec.
+varint_pack call, and the spans' bytes are joined in order. The parse
+(parse_groups) unpacks a group once, walks its channels and drops their count
+slots, so a group's tokens are one array of (run, zigzag value) pairs and a
+channel's a slice of it. It checks every fault, in order: varints, the walk,
+a run of zero, a channel count, trailing bytes, and last an int32 overflow
+(a zigzag code of 2**32 or more). decode_groups then repeats each span of
+channels into its columns, unchecked, on the calling thread: np.repeat holds
+the interpreter lock, and the spans bound the temporaries. analyze_container
+runs only the parse. A single channel (rlc_encode, rlc_decode) is the
+one-channel case of the same kernels, and varint_pack and _varint_unpack hold
+the only LEB128 writer and decoding rule of the codec.
 
 The decoder also reports each channel's serialized byte length, read from
 the varint boundaries it parses anyway (decode_groups). Those are the bytes
@@ -271,23 +271,13 @@ def encode_attributes(cloud: AnchorCloud):
     return payloads, bits
 
 
-def decode_groups(payloads, layout: AttributeLayout, anchor_count: int):
-    """Decode the attribute groups and measure their channel streams.
-
-    Each group is parsed with one varint pass; spans of its channels' tokens
-    are then expanded on the calling thread straight into their columns.
-    Returns (matrices, channel_bytes), dicts keyed by group name: the
-    (anchor_count, dims) int32 matrix, column-major so that each channel is
-    contiguous, and each channel's serialized byte length as found in the
-    payload.
-    """
+def parse_groups(payloads, layout: AttributeLayout, anchor_count: int):
+    """Yield (name, pairs, bounds, nbytes) per group, in order, once all its checks pass:
+    _parse_channels' tokens, each value an int32, and each channel's payload bytes."""
     if anchor_count < 0 or anchor_count > MAX_ELEMENTS:
         raise CorruptStreamError(f"implausible anchor count {anchor_count}")
-    matrices = {}
-    channel_bytes = {}
     for name in GROUPS:
-        dims = layout.dims_for(name)
-        payload = payloads[name]
+        dims, payload = layout.dims_for(name), payloads[name]
         pairs, bounds, counts, nbytes = _parse_channels(payload, dims, anchor_count)
         for c, count in enumerate(counts):
             if count != anchor_count:
@@ -296,14 +286,28 @@ def decode_groups(payloads, layout: AttributeLayout, anchor_count: int):
                 )
         if nbytes.sum() != len(payload):
             raise CorruptStreamError(f"trailing bytes after {name} channels")
-        out = np.empty((anchor_count, dims), dtype=np.int32, order="F")
-        for a, b in spans(dims, anchor_count):
+        # A value fits int32 exactly when its zigzag code is below 2**32.
+        if pairs.size and pairs[:, 1].max() >= 1 << 32:
+            raise CorruptStreamError(f"{name} values overflow int32")
+        yield name, pairs, bounds, nbytes
+
+
+def decode_groups(payloads, layout: AttributeLayout, anchor_count: int):
+    """Decode the attribute groups and measure their channel streams.
+
+    Each group is parsed, then expanded before the next is parsed. Returns
+    (matrices, channel_bytes), dicts keyed by group name: the (anchor_count,
+    dims) int32 matrix, column-major so each channel is contiguous, and each
+    channel's serialized byte length as found in the payload.
+    """
+    matrices = {}
+    channel_bytes = {}
+    for name, pairs, bounds, nbytes in parse_groups(payloads, layout, anchor_count):
+        out = np.empty((anchor_count, len(bounds) - 1), dtype=np.int32, order="F")
+        for a, b in spans(len(bounds) - 1, anchor_count):
             # Copied, not strided views: that keeps a 10^5-anchor round's peak RSS lower.
             runs, zigzag = pairs[bounds[a] : bounds[b]].T.copy()
-            try:
-                values = _as_2d(zigzag_decode(zigzag)[:, None], np.int32, 1, name)[:, 0]
-            except ValueError:
-                raise CorruptStreamError(f"{name} values overflow int32") from None
+            values = zigzag_decode(zigzag).astype(np.int32)
             out.T[a:b] = np.repeat(values, runs.astype(np.int64)).reshape(b - a, anchor_count)
         matrices[name] = out
         channel_bytes[name] = nbytes

@@ -617,6 +617,30 @@ class TestGenerateSynthetic:
         assert cloud.anchor_count == 0
 
 
+def _assert_estimates_match_the_per_symbol_loop(monkeypatch, blob):
+    """analyze's group and channel estimates are those of the per-symbol fits of the
+    decoded cloud, to rounding: only the order of their sums differs."""
+    cloud = decode_container(blob)
+    groups, channels = [], []
+    for name in GROUPS:
+        cols = cloud.group(name).T
+        groups.append(estimate_bits(fit_laplace(cols.ravel()), cols.ravel()))
+        channels += [estimate_bits(fit_laplace(col), col) for col in cols]
+    scatters = []
+    pearson = cont.pearson
+
+    def spy(xs, ys):
+        scatters.append(list(xs))
+        return pearson(xs, ys)
+
+    monkeypatch.setattr(cont, "pearson", spy)
+    report = analyze_container(blob)
+    reported = [report.estimated_bits[key] for key in ("O", "A", "S")]
+    assert reported == pytest.approx(groups, rel=1e-12, abs=0)
+    assert len(scatters) == 1
+    assert scatters[0] == pytest.approx(channels, rel=1e-12, abs=0)
+
+
 class TestAnalyzeContainer:
     def test_report_shape(self):
         blob = encode_container(
@@ -630,27 +654,40 @@ class TestAnalyzeContainer:
         assert report.total_bits > 0
 
     @pytest.mark.parametrize("golden", GOLDEN[:3])
-    def test_estimates_run_in_channel_major_order(self, monkeypatch, golden):
-        # Each group's estimate is taken over its channels one after another,
-        # then each channel's, in the container's own order, bit for bit.
-        blob = _golden(*golden[:6])[1]
-        cloud = decode_container(blob)
-        groups, expected = [], []
-        for name in GROUPS:
-            cols = cloud.group(name).T
-            groups.append(estimate_bits(fit_laplace(cols.ravel()), cols.ravel()))
-            expected += [groups[-1]] + [estimate_bits(fit_laplace(col), col) for col in cols]
-        calls = []
+    def test_estimates_match_the_per_symbol_loop(self, monkeypatch, golden):
+        _assert_estimates_match_the_per_symbol_loop(monkeypatch, _golden(*golden[:6])[1])
 
-        def spy(model, symbols):
-            calls.append(estimate_bits(model, symbols))
-            return calls[-1]
+    def test_edge_channels_match_the_per_symbol_loop(self, monkeypatch):
+        # Offsets: a constant channel (b = B_MIN), one at the int32 extremes whose
+        # range exceeds its tokens (the np.unique path), one with few short runs.
+        n = 40
+        rng = np.random.default_rng(16)
+        offsets = np.zeros((n, 3), dtype=np.int64)
+        offsets[:, 0] = 5
+        offsets[:, 1] = rng.choice([-(2**31), 2**31 - 1, 0, 7], n)
+        offsets[:, 2] = rng.integers(-3, 4, n)
+        cloud = AnchorCloud(
+            positions=np.column_stack([np.arange(n)] * 3),
+            offsets=offsets,
+            features=rng.integers(-2, 3, (n, 2)),
+            scalings=np.zeros((n, 6)),
+            layout=AttributeLayout(k=1, m=2),
+            quant=QuantParams(q_p=64),
+            bbox=BOX,
+        )
+        _assert_estimates_match_the_per_symbol_loop(monkeypatch, encode_container(cloud))
 
-        monkeypatch.setattr(cont, "estimate_bits", spy)
+    def test_zero_anchors_estimate_nothing(self):
+        blob = encode_container(quantize_cloud(_float_cloud(anchors=0), QuantParams(q_p=64)))
         report = analyze_container(blob)
-        assert [v.hex() for v in calls] == [v.hex() for v in expected]
-        reported = [report.estimated_bits[key] for key in ("O", "A", "S")]
-        assert [v.hex() for v in reported] == [v.hex() for v in groups]
+        assert report.estimated_bits == {"O": 0.0, "A": 0.0, "S": 0.0}
+        assert report.correlation is None
+
+    def test_two_anchor_correlation_within_one(self):
+        # Unclipped, this per-channel correlation came out 1.0000000000000002.
+        fcloud = generate_synthetic(0, 2, AttributeLayout(k=1, m=2))
+        report = analyze_container(encode_container(quantize_cloud(fcloud, QuantParams(q_p=16))))
+        assert report.correlation is not None and -1.0 <= report.correlation <= 1.0
 
     def test_empty_mlp_share_zero(self):
         blob = encode_container(

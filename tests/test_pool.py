@@ -16,6 +16,7 @@ import pytest
 
 import voxgs
 import voxgs._pool as pool
+import voxgs.container as container
 from voxgs import (
     AttributeLayout,
     FloatAnchorCloud,
@@ -31,9 +32,9 @@ from voxgs.container import quantize_cloud_kept
 from voxgs.errors import CorruptStreamError
 from voxgs.model import GROUPS
 from voxgs.rlc import decode_groups, rlc_encode, varint_pack
-from tests.conftest import random_cloud
+from tests.conftest import assemble_container, random_cloud
 from tests.test_golden import GOLDEN
-from tests.test_sizes import REPORTS, _golden
+from tests.test_sizes import REPORTS, _golden, _sections
 
 LAYOUT = AttributeLayout(k=10, m=50)
 QUANT = QuantParams(q_p=1024)
@@ -340,6 +341,51 @@ class TestSameErrors:
         if "elements" in message:
             payloads["scalings"] += rlc_encode([0]).serialized
             assert _outcome(decode_groups, payloads, cloud.layout, 8) == message
+
+
+def test_analyze_refuses_what_decode_refuses_and_never_expands(monkeypatch):
+    rng = np.random.default_rng(78)
+    cloud = random_cloud(rng, n=24, depth=4, layout=AttributeLayout(k=1, m=2))
+    blob = encode_container(cloud)
+    _tiny_tasks(monkeypatch, 1)
+    # decode_groups is the parse plus the expansion; analyze runs only the parse.
+    expansions = []
+    expand = container.decode_groups
+
+    def spy(*args):
+        expansions.append(args)
+        return expand(*args)
+
+    monkeypatch.setattr(container, "decode_groups", spy)
+    # Scalings channel 0 at the int32 bounds and one step past them.
+    geometry, offsets, features, _, mlp = _sections(blob)
+    n = cloud.anchor_count
+    edges = []
+    for value in (-(2**31), 2**31 - 1, 2**31, -(2**31) - 1):
+        slots = [n, n, 2 * abs(value) - (value < 0)] + [n, n, 0] * 5
+        scalings = varint_pack(np.array(slots, dtype=np.uint64))
+        sections = [geometry, offsets, features, scalings]
+        edges.append(assemble_container(n, 16, 1, 2, sections, mlp=mlp))
+    seen = set()
+    for mutated in [blob, *edges, *_single_faults(blob)]:
+        outcomes, expanded = [], []
+        for call in (decode_container, analyze_container):
+            expansions.clear()
+            try:
+                call(mutated)
+                outcomes.append(None)
+            except CorruptStreamError as exc:
+                outcomes.append(str(exc))
+            expanded.append(len(expansions))
+        assert outcomes[1] == outcomes[0]
+        assert expanded[1] == 0
+        if outcomes[0] is None:
+            assert expanded[0] == 1
+        seen.add(outcomes[0])
+    # Successes and faults of the header, the geometry and each group.
+    kinds = (None, "bad magic", "section", "occupancy", "offsets", "features", "scalings")
+    for kind in (*kinds, "scalings values overflow int32"):
+        assert any(kind == m if kind is None else m and kind in m for m in seen), kind
 
 
 def _encode_and_decode(fcloud, expected):

@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 import warnings
 
@@ -81,6 +82,79 @@ class TestFitLaplace:
     def test_invalid_scale_rejected(self):
         with pytest.raises(ValueError):
             LaplaceModel(mu=0.0, b=0.0, sigma=0.0)
+
+
+def _assert_counts_fit_the_expansion(values, counts):
+    """fit_laplace and estimate_bits with counts against the same calls on the
+    values repeated counts times: mu by its bits, sigma and the bits to rounding."""
+    values, counts = np.asarray(values), np.asarray(counts)
+    expanded = np.repeat(values, counts.astype(np.int64))
+    model, ref = fit_laplace(values, counts), fit_laplace(expanded)
+    assert model.mu.hex() == ref.mu.hex()
+    assert model.sigma == pytest.approx(ref.sigma, rel=1e-12, abs=0)
+    assert model.b == pytest.approx(ref.b, rel=1e-12, abs=0)
+    assert estimate_bits(ref, values, counts) == pytest.approx(
+        estimate_bits(ref, expanded), rel=1e-12, abs=0
+    )
+    return model
+
+
+class TestCounts:
+    """Multiplicities stand for the repeated values, which are never built."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        dtype=st.sampled_from([np.int32, np.int64, np.uint16]),
+        pairs=st.lists(
+            st.tuples(st.integers(0, 2000), st.integers(0, 40)), min_size=1, max_size=40
+        ),
+    )
+    def test_counts_fit_like_the_expansion(self, dtype, pairs):
+        values, counts = zip(*pairs)
+        if sum(counts) == 0:
+            counts = (1,) + counts[1:]
+        offset = 0 if dtype == np.uint16 else 1000
+        _assert_counts_fit_the_expansion(np.subtract(values, offset).astype(dtype), counts)
+
+    def test_constant_channel_gets_floor_scale(self):
+        model = _assert_counts_fit_the_expansion(np.array([-4, 9]), [17, 0])
+        assert (model.mu, model.sigma, model.b) == (-4.0, 0.0, B_MIN)
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.int64])
+    def test_int32_extremes(self, dtype):
+        values = np.array([INT32_MIN, 0, INT32_MAX], dtype=dtype)
+        _assert_counts_fit_the_expansion(values, [3, 1, 2])
+        _assert_counts_fit_the_expansion(values, [1, 0, 1])
+
+    def test_sparse_values_and_float_counts(self):
+        # A range far past the entry count, and integral float counts.
+        _assert_counts_fit_the_expansion(np.array([-7000, 40, 3, 40]), [1.0, 5.0, 2.0, 3.0])
+
+    def test_empty_counts_estimate_zero_bits(self):
+        assert estimate_bits(fit_laplace([1, 2]), [], []) == 0.0
+
+    @pytest.mark.parametrize(
+        "counts,message",
+        [
+            ([1, -1, 2], "counts must be non-negative"),
+            ([1, 0.5, 2], "counts must hold finite integers"),
+            ([1, np.nan, 2], "counts must hold finite integers"),
+            ([1, 2**63, 2], "counts integers overflow int64 storage"),
+            ([1, 2], "counts must have the shape of values"),
+            ([[1, 2, 3]], "counts must have the shape of values"),
+        ],
+    )
+    def test_bad_counts_rejected(self, counts, message):
+        values = np.array([4, 5, 6])
+        with pytest.raises(ValueError, match=re.escape(message)):
+            fit_laplace(values, counts)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            estimate_bits(fit_laplace(values), values, counts)
+
+    @pytest.mark.parametrize("values,counts", [([4, 5, 6], [0, 0, 0]), ([], [])])
+    def test_zero_total_rejected(self, values, counts):
+        with pytest.raises(ValueError, match="empty sequence"):
+            fit_laplace(values, counts)
 
 
 class TestIntervalProb:
@@ -424,6 +498,13 @@ class TestCalibrateAlpha:
             result.actual_bits.sum() / result.estimated_bits.sum(), rel=1e-12
         )
         assert -1.0 <= result.correlation <= 1.0
+
+    def test_pearson_within_one_on_two_point_scatters(self):
+        # Two points lie on a line, yet rounding carried 271 of these past 1 in magnitude.
+        rng = np.random.default_rng(70)
+        for _ in range(2000):
+            r = pearson(rng.normal(size=2), rng.normal(size=2))
+            assert -1.0 <= r <= 1.0 and abs(r) == pytest.approx(1.0, abs=1e-12)
 
     def test_pearson_degenerate(self):
         assert pearson([1.0], [2.0]) is None
