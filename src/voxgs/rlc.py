@@ -10,23 +10,31 @@ An attribute group is its channels' streams concatenated, channel-major.
 Channel streams are independent, so a group is coded in spans of channels
 on the pool (see _pool): each span is flattened channel-major with a run
 break forced at every channel start, tokenized at once and packed with one
-varint_pack call, and the spans' bytes are joined in order. The parse
-(parse_groups) unpacks a group once, walks its channels and drops their count
-slots, so a group's tokens are one array of (run, zigzag value) pairs and a
-channel's a slice of it. It checks every fault, in order: varints, the walk,
-a run of zero, a channel count, trailing bytes, and last an int32 overflow
-(a zigzag code of 2**32 or more). decode_groups then repeats each span of
-channels into its columns, unchecked, on the calling thread: np.repeat holds
-the interpreter lock, and the spans bound the temporaries. analyze_container
-runs only the parse. A single channel (rlc_encode, rlc_decode) is the
-one-channel case of the same kernels, and varint_pack and _varint_unpack hold
-the only LEB128 writer and decoding rule of the codec.
+varint_pack call, and the spans' bytes are joined in order.
 
-The decoder also reports each channel's serialized byte length, read from
-the varint boundaries it parses anyway (decode_groups). Those are the bytes
-actually in the stream: a stream that decodes but is not canonical, such as
-one run split into two equal-valued runs or an overlong varint, counts as
-the bytes it holds, not as the size its re-encoding would have.
+The parse (parse_groups) unpacks a group once with _varint_unpack, whose work
+grows with the continuation bytes (>= 0x80), not with the varints: the bytes
+left once those are removed are every one-byte varint's value and every
+longer varint's last septet, and only the longer varints fold in their lower
+septets. Besides the values it returns, for each continuation byte, the
+index of the varint that owns it. The parse then walks the group's channels
+on two prefix sums of the run slots, one per slot parity, and drops their
+count slots, so a group's tokens are one array of (run, zigzag value) pairs
+and a channel's a slice of it. It checks every fault, in order: varints, the
+walk, a run of zero, a channel count, trailing bytes, and last an int32
+overflow (a zigzag code of 2**32 or more). decode_groups then repeats each
+span of channels into its columns, unchecked, on the calling thread:
+np.repeat holds the interpreter lock, and the spans bound the temporaries.
+analyze_container runs only the parse. A single channel (rlc_encode,
+rlc_decode) is the one-channel case of the same kernels, and varint_pack and
+_varint_unpack hold the only LEB128 writer and decoding rule of the codec.
+
+The parse also reports each channel's serialized byte length. Varint i ends
+at byte i plus the number of continuation bytes owned by varints 0..i, so a
+channel's end is one search of its last varint in the owners. Those are the
+bytes actually in the stream: a stream that decodes but is not canonical,
+such as one run split into two equal-valued runs or an overlong varint,
+counts as the bytes it holds, not as the size its re-encoding would have.
 """
 
 from __future__ import annotations
@@ -92,26 +100,40 @@ def varint_pack(values: np.ndarray) -> bytes:
 def _varint_unpack(data):
     """Parse every varint in the buffer; raises on truncation or overlength.
 
-    Returns (values, ends): ends holds the index of each varint's last byte.
+    Returns (values, owner): values as uint64, bits above 2**64 dropped, and
+    for each continuation byte (>= 0x80), in byte order, the index of the
+    varint that owns it, so varint i ends at byte
+    i + owner.searchsorted(i, side="right"). The work grows with the
+    continuation bytes, not with the varints: with them removed, the buffer
+    holds each varint's last septet, which is all of a one-byte varint, and
+    only the longer varints shift it up and fold their lower septets in.
     """
     buf = np.frombuffer(data, dtype=np.uint8)
-    if buf.size == 0:
-        return np.zeros(0, dtype=np.uint64), np.zeros(0, dtype=np.int64)
     cont = buf >= 0x80
+    cpos = cont.nonzero()[0]
+    if not cpos.size:
+        return buf.astype(np.uint64), cpos
     if cont[-1]:
         raise CorruptStreamError("truncated varint at end of stream")
-    ends = np.flatnonzero(~cont)
-    lengths = np.diff(ends, prepend=-1)
-    width = int(lengths.max())
-    if width > _MAX_VARINT_BYTES:
+    values = buf[~cont].astype(np.uint64)
+    at = np.arange(cpos.size)
+    owner = cpos - at
+    # Each run of equal owners is one varint's continuation bytes.
+    edge = np.empty(cpos.size + 1, dtype=bool)
+    edge[0] = edge[-1] = True
+    np.not_equal(owner[1:], owner[:-1], out=edge[1:-1])
+    edges = edge.nonzero()[0]
+    first = edges[:-1]
+    runs = edges[1:] - first
+    if runs.max() >= _MAX_VARINT_BYTES:
         raise CorruptStreamError("varint longer than 10 bytes")
-    starts = ends + 1 - lengths
-    values = (buf[starts] & 0x7F).astype(np.uint64)
-    idx = np.flatnonzero(lengths > 1)
-    for j in range(1, width):
-        idx = idx[lengths[idx] > j]
-        values[idx] |= (buf[starts[idx] + j] & 0x7F).astype(np.uint64) << np.uint64(7 * j)
-    return values, ends
+    # Septet j of a varint moves up 7 * j bits; the terminator's shift drops
+    # any bits above 2**64, as a uint64 does.
+    shift = ((at - np.repeat(first, runs)) * 7).astype(np.uint64)
+    low = np.bitwise_or.reduceat(np.bitwise_and(buf[cpos], 0x7F, dtype=np.uint64) << shift, first)
+    multi = owner[first]
+    values[multi] = values[multi] << (runs * 7).astype(np.uint64) | low
+    return values, owner
 
 
 def varint_unpack_all(data: bytes) -> np.ndarray:
@@ -127,7 +149,7 @@ def read_varints(data: bytes, pos: int, count: int):
     Returns (list of ints, position just past the last varint).
     """
     window = data[pos : pos + count * _MAX_VARINT_BYTES]
-    ends = np.flatnonzero(np.frombuffer(window, dtype=np.uint8) < 0x80)[:count]
+    ends = (np.frombuffer(window, dtype=np.uint8) < 0x80).nonzero()[0][:count]
     stop = int(ends[-1]) + 1 if ends.size else 0
     values = varint_unpack_all(window[:stop])
     if ends.size < count:
@@ -136,7 +158,7 @@ def read_varints(data: bytes, pos: int, count: int):
         if len(window) - stop >= _MAX_VARINT_BYTES:
             raise CorruptStreamError("varint longer than 10 bytes")
         raise CorruptStreamError("truncated varint")
-    return [int(v) for v in values], pos + stop
+    return values.tolist(), pos + stop
 
 
 @dataclass(frozen=True)
@@ -192,17 +214,25 @@ def _parse_channels(data, dims: int, max_elements: int):
     2 * count slots, so no channel scans the slots of the channels after it.
     Returns (pairs, bounds, counts, nbytes): pairs holds each token as a
     uint64 (run, zigzag value) row, channel c's at pairs[bounds[c]:bounds[c + 1]],
-    and nbytes each channel's byte length from the varint boundaries, which
-    sum to len(data) exactly when no bytes follow the last channel.
+    and nbytes each channel's byte length, found from the continuation bytes
+    owned by its varints; they sum to len(data) exactly when no bytes follow
+    the last channel.
     """
-    varints, ends = _varint_unpack(data)
-    # Clipping keeps the prefix sums from wrapping; a clipped run still
-    # overshoots any count the caller accepts. Freed before the pairs exist.
-    clipped = np.minimum(varints, max_elements + 1).astype(np.int64)
-    prefix = [np.concatenate(([0], np.cumsum(clipped[p::2]))) for p in (0, 1)]
-    del clipped
+    varints, owner = _varint_unpack(data)
+    # Each parity's slots are clipped and summed in place into its prefix.
+    # Clipping keeps the sums from wrapping; a clipped run still overshoots
+    # any count the caller accepts. Freed before the pairs exist.
+    half = (varints.size + 1) // 2 + 1
+    cums = np.empty(varints.size + 2, dtype=np.int64)
+    prefix = (cums[:half], cums[half:])
+    for parity, cum in enumerate(prefix):
+        cum[0] = 0
+        sums = cum[1:].view(np.uint64)
+        np.minimum(varints[parity::2], max_elements + 1, out=sums)
+        np.cumsum(sums, out=sums)
     counts = []
-    firsts = []
+    slots = []
+    lasts = []
     bounds = [0]
     cursor = 0
     for _ in range(dims):
@@ -217,31 +247,38 @@ def _parse_channels(data, dims: int, max_elements: int):
         t = int(cum.searchsorted(target))
         if t == cum.size or cum[t] != target:
             raise CorruptStreamError("run lengths do not sum to the element count")
+        slots.append(cursor)
         cursor = first + 2 * t
         if cursor > varints.size:
             raise CorruptStreamError("truncated token stream")
         counts.append(count)
-        firsts.append(first)
+        lasts.append(cursor - 1)
         bounds.append(bounds[-1] + t)
-    firsts = np.asarray(firsts, dtype=np.int64)
+    del cums, prefix, cum, sums
     # The inverse of _encode_channels' np.insert of the count slots, written
     # back into varints: a new array would pin the freed parse temporaries.
     keep = np.ones(cursor, dtype=bool)
-    keep[firsts - 1] = False
+    keep[slots] = False
     varints[: cursor - dims] = varints[:cursor][keep]
     pairs = varints[: cursor - dims].reshape(-1, 2)
     if not pairs[:, 0].all():
         raise CorruptStreamError("run length of zero")
-    # A channel's bytes end with its last varint, the slot before the next count.
-    nbytes = np.diff(ends[np.append(firsts[1:] - 2, cursor - 1)] + 1, prepend=0)
+    # Varint i ends at byte i plus the continuation bytes owned up to it.
+    stops = np.zeros(dims + 1, dtype=np.int64)
+    np.add(lasts, owner.searchsorted(lasts, side="right") + 1, out=stops[1:])
+    nbytes = stops[1:] - stops[:-1]
     return pairs, bounds, counts, nbytes
 
 
 def rlc_decode(data, max_elements: int = MAX_ELEMENTS) -> np.ndarray:
-    """Decode a single serialized channel stream back to the exact sequence."""
+    """Decode a single serialized channel stream back to the exact sequence.
+
+    A memoryview is parsed in place; other input goes through bytes().
+    """
     if isinstance(data, RlcStream):
         data = data.serialized
-    data = bytes(data)
+    elif not isinstance(data, memoryview):
+        data = bytes(data)
     if not data:
         raise CorruptStreamError("empty stream")
     pairs, _, _, nbytes = _parse_channels(data, 1, max_elements)

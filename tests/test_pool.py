@@ -343,6 +343,142 @@ class TestSameErrors:
             assert _outcome(decode_groups, payloads, cloud.layout, 8) == message
 
 
+def _slots(*slots):
+    """A stream from varint slots: an int packed canonically, bytes taken as written."""
+    return b"".join(
+        s if isinstance(s, bytes) else varint_pack(np.array([s], dtype=np.uint64)) for s in slots
+    )
+
+
+def _zz(value):
+    return 2 * abs(value) - (value < 0)
+
+
+def _overlong(value, length):
+    """value as a length-byte varint: canonical septets padded with zero septets."""
+    septets = [(value >> (7 * j)) & 0x7F for j in range(length)]
+    return bytes([s | 0x80 for s in septets[:-1]] + [septets[-1]])
+
+
+def _channel(n, c):
+    """A channel of n elements in two runs above 127, values with 2- and 3-byte zigzag codes."""
+    return [n, 130, _zz(1000 + c), n - 130, _zz(-70000 - c)]
+
+
+def _quirky_channels(n):
+    """Six valid scalings channels whose varints a canonical encoder would not write."""
+    return [
+        # b"\x81\x80\x00" is 1 in three bytes.
+        _slots(n, 130, 7, n - 130, b"\x81\x80\x00"),
+        _slots(_overlong(n, 3), *_channel(n, 1)[1:]),
+        # 2**64 + 130 and 2**64 in ten bytes; the bits above 2**64 are dropped.
+        _slots(n, _overlong(130, 10)[:9] + b"\x02", b"\x80" * 9 + b"\x02", n - 130, 5),
+        *(_slots(*_channel(n, c)) for c in range(3, 6)),
+    ]
+
+
+def _multibyte_cases(n):
+    """(label, scalings payload) pairs whose varints are mostly 2-11 bytes long."""
+    ok = [_slots(*_channel(n, c)) for c in range(6)]
+    cases = {
+        "runs, values and counts": ok,
+        "overlong and wrapped varints": _quirky_channels(n),
+        "10-byte value overflows int32": [*ok[:5], _slots(n, n, b"\x80" * 9 + b"\x01")],
+        "11-byte varint": [*ok[:3], _slots(n, n, b"\x80" * 10 + b"\x01"), *ok[4:]],
+        "11-byte varint after a walk fault": [
+            _slots(n, 130, 2, n - 131, 2), *ok[1:5], _slots(n, n, b"\xff" * 10 + b"\x01"),
+        ],
+        "3-byte count over the limit": [*ok[:4], _slots(20000, 20000, 2), ok[5]],
+        "truncated multi-byte varint": [*ok, b"\xff\xff"],
+        "runs above 127 miss the count": [*ok[:5], _slots(n, 130, 2, n - 131, 2)],
+        "overlong zero run": [ok[0], _slots(n, 130, 2, b"\x80\x00", 4, n - 130, 2), *ok[2:]],
+        "bytes after the last channel": [*ok, _slots(300)],
+    }
+    return {label: b"".join(parts) for label, parts in cases.items()}
+
+
+def _multibyte_cloud():
+    rng = np.random.default_rng(79)
+    cloud = random_cloud(rng, n=150, depth=4, layout=AttributeLayout(k=1, m=2))
+    assert cloud.anchor_count > 130
+    return cloud
+
+
+def _parsed_bytes(payloads, layout, n):
+    """Each group's channel byte lengths as parse_groups, analyze's parse, reports them."""
+    try:
+        return [list(nbytes) for _, _, _, nbytes in container.parse_groups(payloads, layout, n)]
+    except CorruptStreamError as exc:
+        return str(exc)
+
+
+class TestMultiByteVarints:
+    """Decode and analyze against the reference on streams of 2- to 11-byte varints."""
+
+    @WORKER_COUNTS
+    @pytest.mark.parametrize("label", list(_multibyte_cases(140)))
+    def test_cases_match_the_reference(self, monkeypatch, workers, label):
+        cloud = _multibyte_cloud()
+        n = cloud.anchor_count
+        blob = encode_container(cloud)
+        payloads = encode_attributes(cloud)[0]
+        payloads["scalings"] = _multibyte_cases(n)[label]
+        expected = _outcome(decode_groups_reference, payloads, cloud.layout, n)
+        _tiny_tasks(monkeypatch, workers)
+        assert _outcome(decode_groups, payloads, cloud.layout, n) == expected
+        parsed = _parsed_bytes(payloads, cloud.layout, n)
+        if isinstance(expected, str):
+            assert parsed == expected
+        else:
+            assert parsed == [channel_bytes for _, channel_bytes in expected]
+        geometry, offsets, features, _, mlp = _sections(blob)
+        sections = [geometry, offsets, features, payloads["scalings"]]
+        try:
+            analyze_container(assemble_container(n, 16, 1, 2, sections, mlp=mlp))
+            refused = None
+        except CorruptStreamError as exc:
+            refused = str(exc)
+        assert refused == (expected if isinstance(expected, str) else None)
+
+    def test_cases_reach_each_fault(self):
+        cloud = _multibyte_cloud()
+        n = cloud.anchor_count
+        payloads = encode_attributes(cloud)[0]
+        outcomes = {}
+        for label, payload in _multibyte_cases(n).items():
+            outcome = _outcome(decode_groups_reference, {**payloads, "scalings": payload},
+                               cloud.layout, n)
+            outcomes[label] = outcome if isinstance(outcome, str) else None
+        assert outcomes == {
+            "runs, values and counts": None,
+            "overlong and wrapped varints": None,
+            "10-byte value overflows int32": "scalings values overflow int32",
+            "11-byte varint": "varint longer than 10 bytes",
+            "11-byte varint after a walk fault": "varint longer than 10 bytes",
+            "3-byte count over the limit": f"element count 20000 exceeds limit {n}",
+            "truncated multi-byte varint": "truncated varint at end of stream",
+            "runs above 127 miss the count": "run lengths do not sum to the element count",
+            "overlong zero run": "run length of zero",
+            "bytes after the last channel": "trailing bytes after scalings channels",
+        }
+
+    @WORKER_COUNTS
+    def test_single_faults_match_the_reference(self, monkeypatch, workers):
+        cloud = _multibyte_cloud()
+        n = cloud.anchor_count
+        payloads = encode_attributes(cloud)[0]
+        stream = b"".join(_quirky_channels(n))
+        _tiny_tasks(monkeypatch, workers)
+        for mutated in _single_faults(stream):
+            faulty = {**payloads, "scalings": mutated}
+            expected = _outcome(decode_groups_reference, faulty, cloud.layout, n)
+            assert _outcome(decode_groups, faulty, cloud.layout, n) == expected
+            parsed = _parsed_bytes(faulty, cloud.layout, n)
+            assert parsed == (
+                expected if isinstance(expected, str) else [b for _, b in expected]
+            )
+
+
 def test_analyze_refuses_what_decode_refuses_and_never_expands(monkeypatch):
     rng = np.random.default_rng(78)
     cloud = random_cloud(rng, n=24, depth=4, layout=AttributeLayout(k=1, m=2))
