@@ -6,7 +6,6 @@ import dataclasses
 import math
 import os
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 import click
@@ -39,18 +38,6 @@ def _fail(message):
     sys.exit(EXIT_INPUT)
 
 
-def _fraction(_ctx, param, value):
-    if value is None:
-        return None
-    try:
-        frac = Fraction(value)
-    except (ValueError, ZeroDivisionError):
-        raise click.BadParameter(f"{param.name} must be a rational number")
-    if frac <= 0:
-        raise click.BadParameter("quant scale must be positive")
-    return frac
-
-
 def _finite(_ctx, param, value):
     if not math.isfinite(value):
         raise click.BadParameter(f"{param.name} must be finite")
@@ -79,9 +66,9 @@ def _quant_from_options(preset, qp, qo, qa, qs) -> QuantParams:
 
 def quant_options(fn):
     fn = click.option("--qp", type=int, default=None, help="Voxel grid resolution.")(fn)
-    fn = click.option("--qo", callback=_fraction, default=None, help="Offset scale.")(fn)
-    fn = click.option("--qa", callback=_fraction, default=None, help="Feature scale.")(fn)
-    fn = click.option("--qs", callback=_fraction, default=None, help="Scaling-factor scale.")(fn)
+    fn = click.option("--qo", default=None, help="Offset scale.")(fn)
+    fn = click.option("--qa", default=None, help="Feature scale.")(fn)
+    fn = click.option("--qs", default=None, help="Scaling-factor scale.")(fn)
     fn = click.option(
         "--preset",
         type=click.Choice(sorted(PRESETS)),
@@ -241,9 +228,10 @@ def sweep(axis, values, input_path, synthetic, seed, qp, qo, qa, qs, preset):
         points = []
         for raw in values.split(","):
             raw = raw.strip()
-            value = int(raw) if axis == "q_p" else Fraction(raw)
+            # A q_p that is not decimal digits stays a string, which QuantParams refuses by name.
+            value = int(raw) if axis == "q_p" and raw.isdecimal() else raw
             points.append((raw, dataclasses.replace(base, **{axis: value})))
-    except (AnchorFileError, ValueError, ZeroDivisionError) as exc:
+    except (AnchorFileError, ValueError) as exc:
         _fail(exc)
     if fcloud.anchor_count == 0:
         _fail(f"{input_path} holds no anchors; there is nothing to sweep")

@@ -83,20 +83,18 @@ def _varint_bytes(*values) -> bytes:
 def _quantize_rows(values: np.ndarray, kept: np.ndarray, scale):
     """quantize_features(values[kept], scale) as int32, quantized in spans of rows.
 
-    Column-major (channel-major), as decoded groups are. None if a span fails
-    ste_round or holds a value int32 cannot.
+    Column-major (channel-major), as decoded groups are. Raises the ValueError
+    of the first span, in row order, that fails ste_round or holds a value
+    int32 cannot.
     """
     out = np.empty((kept.size, values.shape[1]), dtype=np.int32, order="F")
 
     def quantize(a, b):
-        try:
-            rows = quantize_features(values[kept[a:b]], scale)
-            out[a:b] = _as_2d(rows, np.int32, out.shape[1], "rows")
-        except ValueError:
-            return False
-        return True
+        rows = quantize_features(values[kept[a:b]], scale)
+        out[a:b] = _as_2d(rows, np.int32, out.shape[1], "rows")
 
-    return out if all(run(quantize, spans(kept.size, values.shape[1]))) else None
+    run(quantize, spans(kept.size, values.shape[1]))
+    return out
 
 
 def quantize_cloud_kept(fcloud: FloatAnchorCloud, quant: QuantParams):
@@ -105,10 +103,12 @@ def quantize_cloud_kept(fcloud: FloatAnchorCloud, quant: QuantParams):
     Returns (cloud, kept); row i of the cloud comes from input row kept[i].
     """
     voxels, kept, _ = voxelize(fcloud.positions, quant.q_p, fcloud.bbox)
-    groups = {
-        name: _quantize_rows(getattr(fcloud, name), kept, quant.scale_for(name)) for name in GROUPS
-    }
-    if any(rows is None for rows in groups.values()):
+    try:
+        groups = {
+            name: _quantize_rows(getattr(fcloud, name), kept, quant.scale_for(name))
+            for name in GROUPS
+        }
+    except ValueError:
         # Quantized whole, the groups raise the error that fails first, whatever
         # the spans: ste_round's for any group, then AnchorCloud's int32 check.
         groups = {

@@ -10,8 +10,7 @@ import numpy as np
 
 # Morton codes pack three coordinates into 63 bits, so each axis is
 # limited to 21 bits of grid resolution.
-MAX_GRID_BITS = 21
-MAX_GRID = 1 << MAX_GRID_BITS
+MAX_GRID = 1 << 21
 
 SCALING_DIMS = 6
 # Upper bound on k and m; it keeps any declared layout's row width bounded.
@@ -20,13 +19,32 @@ MAX_LAYOUT_DIM = 1 << 16
 GROUPS = ("offsets", "features", "scalings")
 
 
-def as_fraction(value) -> Fraction:
-    """Coerce ints, floats, Fractions, or "num/den" strings to Fraction."""
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, str):
-        return Fraction(value)
-    return Fraction(value).limit_denominator(10**9)
+def as_fraction(value, name="scale") -> Fraction:
+    """value as a quantization scale a container can store; else ValueError naming it.
+
+    Fractions, ints and "num/den" strings convert exactly; floats go to the
+    nearest fraction with a denominator of at most 10**9. The scale must be
+    positive, with numerator and denominator below 2**64.
+    """
+    try:
+        frac = value if isinstance(value, Fraction) else Fraction(value)
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError):
+        raise ValueError(f"{name} value {value!r} is not a rational number") from None
+    if isinstance(value, float):
+        frac = frac.limit_denominator(10**9)
+    if frac.numerator <= 0:  # a Fraction's denominator is positive
+        raise ValueError(f"quant scale must be positive, got {name}={value!r}")
+    # The container stores each scale's numerator and denominator as a uint64.
+    if frac.numerator >= 2**64 or frac.denominator >= 2**64:
+        raise ValueError("quant scale numerator and denominator must be below 2**64")
+    return frac
+
+
+def as_grid(q_p) -> int:
+    """q_p as an int grid resolution; ValueError unless an integer in [1, MAX_GRID]."""
+    if not isinstance(q_p, (int, np.integer)) or not 1 <= q_p <= MAX_GRID:
+        raise ValueError(f"q_p must be an integer in [1, {MAX_GRID}], got {q_p!r}")
+    return int(q_p)
 
 
 @dataclass(frozen=True)
@@ -39,18 +57,9 @@ class QuantParams:
     q_s: Fraction = Fraction(8)
 
     def __post_init__(self):
-        object.__setattr__(self, "q_o", as_fraction(self.q_o))
-        object.__setattr__(self, "q_a", as_fraction(self.q_a))
-        object.__setattr__(self, "q_s", as_fraction(self.q_s))
-        if self.q_p <= 0 or self.q_o <= 0 or self.q_a <= 0 or self.q_s <= 0:
-            raise ValueError("quant scale must be positive")
-        # The container stores each scale's numerator and denominator as a uint64.
-        if any(max(f.numerator, f.denominator) >= 2**64 for f in (self.q_o, self.q_a, self.q_s)):
-            raise ValueError("quant scale numerator and denominator must be below 2**64")
-        if self.q_p > MAX_GRID:
-            raise ValueError(
-                f"q_p={self.q_p} exceeds the {MAX_GRID_BITS}-bit grid limit"
-            )
+        object.__setattr__(self, "q_p", as_grid(self.q_p))
+        for name in ("q_o", "q_a", "q_s"):
+            object.__setattr__(self, name, as_fraction(getattr(self, name), name))
 
     @property
     def depth(self) -> int:

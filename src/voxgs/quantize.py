@@ -9,12 +9,10 @@ hand against this contract).
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 import numpy as np
 
 from .geometry import morton_encode
-from .model import MAX_GRID, _extent_overflow
+from .model import _extent_overflow, as_fraction, as_grid
 
 INT64_LIMIT = 2.0**63  # rounded magnitudes must stay below this to fit int64
 
@@ -43,19 +41,17 @@ def ste_round(x):
 
 
 def quantize_features(f, q_f) -> np.ndarray:
-    """Elementwise ste_round(f * q_f)."""
-    scale = float(Fraction(q_f) if not isinstance(q_f, Fraction) else q_f)
-    if scale <= 0:
-        raise ValueError("quant scale must be positive")
-    return ste_round(np.asarray(f, dtype=np.float64) * scale)
+    """Elementwise ste_round(f * q_f).
+
+    q_f is read by model.as_fraction, so it is exactly a scale a container can
+    store; any other raises ValueError.
+    """
+    return ste_round(np.asarray(f, dtype=np.float64) * float(as_fraction(q_f, "q_f")))
 
 
 def dequantize_features(fq, q_f) -> np.ndarray:
-    """Elementwise fq / q_f."""
-    scale = float(Fraction(q_f) if not isinstance(q_f, Fraction) else q_f)
-    if scale <= 0:
-        raise ValueError("quant scale must be positive")
-    return np.asarray(fq, dtype=np.float64) / scale
+    """Elementwise fq / q_f, for q_f as quantize_features reads it."""
+    return np.asarray(fq, dtype=np.float64) / float(as_fraction(q_f, "q_f"))
 
 
 def voxelize(points, q_p: int, bbox):
@@ -63,17 +59,14 @@ def voxelize(points, q_p: int, bbox):
 
     Coordinates are normalized through the bounding box, rounded, and
     clamped to the half-open grid (the bbox max corner lands on q_p - 1).
+    q_p is read by model.as_grid, as QuantParams reads it.
 
     Returns (voxels, kept, dup_map): voxels is the duplicate-free (m, 3)
     int64 grid array in ascending Morton order, the order the octree codes
     and decode_container returns; kept holds the input index of each voxel's
     first occurrence, and dup_map maps every input index to its voxel row.
     """
-    if q_p <= 0:
-        raise ValueError("q_p must be positive")
-    if q_p > MAX_GRID:
-        raise ValueError(f"q_p={q_p} exceeds the Morton grid limit {MAX_GRID}")
-
+    q_p = as_grid(q_p)
     pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
     box = np.asarray(bbox, dtype=np.float64).reshape(2, 3)
     if not np.all(np.isfinite(box)):

@@ -54,8 +54,8 @@ class LaplaceModel:
     sigma: float
 
     def __post_init__(self):
-        if not (self.b > 0):
-            raise ValueError("Laplace scale must be positive")
+        if not (math.isfinite(self.mu) and 0 < self.b < math.inf):
+            raise ValueError("Laplace location must be finite and scale positive and finite")
 
 
 def _multiplicities(counts, values) -> np.ndarray:
@@ -184,6 +184,9 @@ def nll_bits_and_grads(x, mu: float, b: float):
 
 def estimate_bits(model: LaplaceModel, values, counts=None) -> float:
     """Total cross-entropy bits of an integer sequence under the model."""
+    values = np.asarray(values)
+    if values.dtype.kind not in "iu" and not np.all(np.isfinite(values)):
+        raise ValueError("estimate_bits requires finite input")
     bits = _per_symbol(lambda v: (nll_bits(model, v),), values, 1)[0]
     return float((bits if counts is None else _multiplicities(counts, values) * bits).sum())
 

@@ -69,6 +69,16 @@ class TestEncode:
         assert result.exit_code == 2
         assert "quant scale must be positive" in result.output
 
+    @pytest.mark.parametrize("scale", ["abc", "1/0"])
+    def test_unreadable_scale_is_one_error_line(self, runner, anchor_file, tmp_path, scale):
+        out = tmp_path / "o.vxgs"
+        result = runner.invoke(main, ["encode", str(anchor_file), str(out), "--qo", scale])
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        message = f"error: q_o value '{scale}' is not a rational number"
+        assert result.output.splitlines() == [message]
+        assert not out.exists()
+
     def test_scale_beyond_uint64_exit_2(self, runner, anchor_file, tmp_path):
         out = tmp_path / "o.vxgs"
         result = runner.invoke(
@@ -366,6 +376,20 @@ class TestSweep:
             main, ["sweep", "--axis", "q_p", "--values", "abc", "--synthetic", "10"]
         )
         assert result.exit_code == 2
+
+    @pytest.mark.parametrize(
+        "axis,value,message",
+        [
+            ("q_a", "1/0", "q_a value '1/0' is not a rational number"),
+            ("q_p", "1.5", "q_p must be an integer in [1, 2097152], got '1.5'"),
+        ],
+    )
+    def test_bad_value_is_one_error_line_naming_it(self, runner, axis, value, message):
+        args = ["sweep", "--axis", axis, "--values", f"2,{value}", "--synthetic", "10"]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert result.output.splitlines() == [f"error: {message}"]
 
     def test_overflowing_scale_exit_2(self, runner):
         result = runner.invoke(

@@ -1,3 +1,4 @@
+import math
 import warnings
 from dataclasses import replace
 from fractions import Fraction
@@ -10,10 +11,35 @@ from voxgs import (
     AttributeLayout,
     QuantParams,
     decode_container,
+    dequantize_features,
     encode_container,
+    quantize_features,
     validate,
 )
 from voxgs.model import GROUPS, MAX_GRID, as_fraction
+
+# The q_p rule's message, which QuantParams, voxelize and quantize_positions share.
+Q_P_RULE = rf"^q_p must be an integer in \[1, {MAX_GRID}\], got "
+BAD_Q_P = [4.5, math.nan, math.inf, "8", 0, -1, MAX_GRID + 1]
+
+# Each scale every reader refuses, with its message.
+_NOT_RATIONAL = r"^(q_o|q_f) value {} is not a rational number$"
+BAD_SCALES = [
+    pytest.param(math.inf, _NOT_RATIONAL.format("inf"), id="inf"),
+    pytest.param(math.nan, _NOT_RATIONAL.format("nan"), id="nan"),
+    pytest.param("1/0", _NOT_RATIONAL.format("'1/0'"), id="1/0"),
+    pytest.param("x", _NOT_RATIONAL.format("'x'"), id="x"),
+    pytest.param(0, r"^quant scale must be positive, got (q_o|q_f)=0$", id="0"),
+    pytest.param(-1, r"^quant scale must be positive, got (q_o|q_f)=-1$", id="-1"),
+]
+FEATURE_SCALE_READERS = [
+    pytest.param(lambda q: quantize_features([1.0], q), id="quantize_features"),
+    pytest.param(lambda q: dequantize_features([1], q), id="dequantize_features"),
+]
+SCALE_READERS = [
+    pytest.param(lambda q: QuantParams(q_p=4, q_o=q), id="QuantParams"),
+    *FEATURE_SCALE_READERS,
+]
 
 
 def _cloud(positions, q_p=4, k=1, m=2, **kwargs):
@@ -78,6 +104,25 @@ class TestQuantParams:
     def test_as_fraction_string(self):
         assert as_fraction("3/4") == Fraction(3, 4)
         assert as_fraction(Fraction(5, 7)) == Fraction(5, 7)
+
+    @pytest.mark.parametrize("q_p", BAD_Q_P)
+    def test_q_p_other_than_a_grid_integer_raises_value_error(self, q_p):
+        with pytest.raises(ValueError, match=Q_P_RULE):
+            QuantParams(q_p=q_p)
+
+    @pytest.mark.parametrize("reader", SCALE_READERS)
+    @pytest.mark.parametrize("scale,message", BAD_SCALES)
+    def test_every_scale_reader_raises_value_error(self, reader, scale, message):
+        with pytest.raises(ValueError, match=message):
+            reader(scale)
+
+    @pytest.mark.parametrize("reader", FEATURE_SCALE_READERS)
+    @pytest.mark.parametrize("scale", [2**64, Fraction(1, 2**64)], ids=["2**64", "1/2**64"])
+    def test_feature_scales_fit_the_container(self, reader, scale):
+        # As QuantParams refuses them in test_scale_terms_fit_the_container.
+        message = r"^quant scale numerator and denominator must be below 2\*\*64$"
+        with pytest.raises(ValueError, match=message):
+            reader(scale)
 
 
 class TestAttributeLayout:

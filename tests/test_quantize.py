@@ -18,6 +18,7 @@ from voxgs import (
     ste_round,
 )
 from voxgs.quantize import voxelize
+from tests.test_model import BAD_Q_P, Q_P_RULE
 
 
 def _sign_multiply_round(x):
@@ -217,6 +218,16 @@ class TestQuantizePositions:
     def test_grid_limit(self):
         with pytest.raises(ValueError):
             quantize_positions(np.array([[0.5, 0.5, 0.5]]), (1 << 21) + 1, self.BOX)
+
+    @pytest.mark.parametrize("q_p", BAD_Q_P)
+    def test_q_p_refused_as_quant_params_refuses_it(self, q_p):
+        with pytest.raises(ValueError, match=Q_P_RULE) as expected:
+            QuantParams(q_p=q_p)
+        pts = np.array([[0.5, 0.5, 0.5]])
+        for quantize in (voxelize, quantize_positions):
+            with pytest.raises(ValueError) as refused:
+                quantize(pts, q_p, self.BOX)
+            assert str(refused.value) == str(expected.value)
 
     def test_empty(self):
         voxels, dup_map = quantize_positions(np.zeros((0, 3)), 256, self.BOX)

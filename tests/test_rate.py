@@ -83,6 +83,14 @@ class TestFitLaplace:
         with pytest.raises(ValueError):
             LaplaceModel(mu=0.0, b=0.0, sigma=0.0)
 
+    @pytest.mark.parametrize(
+        "mu,b",
+        [(math.nan, 1.0), (math.inf, 1.0), (-math.inf, 1.0), (0.0, math.inf), (0.0, math.nan)],
+    )
+    def test_non_finite_parameters_rejected(self, mu, b):
+        with pytest.raises(ValueError, match="^Laplace location must be finite and scale positive"):
+            LaplaceModel(mu=mu, b=b, sigma=1.0)
+
 
 def _assert_counts_fit_the_expansion(values, counts):
     """fit_laplace and estimate_bits with counts against the same calls on the
@@ -199,6 +207,13 @@ class TestEstimateBits:
     def test_empty_sequence(self):
         model = fit_laplace([1, 2, 3])
         assert estimate_bits(model, []) == 0.0
+
+    @pytest.mark.parametrize("values", [[math.nan], [1.0, math.inf], [-math.inf, 2.0]])
+    def test_non_finite_symbols_rejected(self, values):
+        with pytest.raises(ValueError, match="^estimate_bits requires finite input$"):
+            estimate_bits(fit_laplace([1, 2]), values)
+        with pytest.raises(ValueError, match="^estimate_bits requires finite input$"):
+            estimate_bits(fit_laplace([1, 2]), values, [1] * len(values))
 
     def test_constant_stream_finite(self):
         model = fit_laplace([0] * 100)
