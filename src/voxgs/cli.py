@@ -219,18 +219,19 @@ def sweep(axis, values, input_path, synthetic, seed, qp, qo, qa, qs, preset):
         _fail("provide --input FILE or --synthetic N")
     try:
         base = _quant_from_options(preset, qp, qo, qa, qs)
-        if input_path:
-            fcloud = cont.read_anchor_file(input_path)
-        else:
-            fcloud = cont.generate_synthetic(
-                seed=seed, anchors=synthetic, layout=SWEEP_LAYOUT, run_bias=0.5
-            )
+        # The points are checked first, so a bad value never waits on the scene.
         points = []
         for raw in values.split(","):
             raw = raw.strip()
             # A q_p that is not decimal digits stays a string, which QuantParams refuses by name.
             value = int(raw) if axis == "q_p" and raw.isdecimal() else raw
             points.append((raw, dataclasses.replace(base, **{axis: value})))
+        if input_path:
+            fcloud = cont.read_anchor_file(input_path)
+        else:
+            fcloud = cont.generate_synthetic(
+                seed=seed, anchors=synthetic, layout=SWEEP_LAYOUT, run_bias=0.5
+            )
     except (AnchorFileError, ValueError) as exc:
         _fail(exc)
     if fcloud.anchor_count == 0:

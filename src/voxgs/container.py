@@ -52,6 +52,7 @@ from .model import (
     QuantParams,
     _as_2d,
     _extent_overflow,
+    as_fraction,
     validate,
 )
 from .quantize import dequantize_features, quantize_features, voxelize
@@ -83,15 +84,28 @@ def _varint_bytes(*values) -> bytes:
 def _quantize_rows(values: np.ndarray, kept: np.ndarray, scale):
     """quantize_features(values[kept], scale) as int32, quantized in spans of rows.
 
-    Column-major (channel-major), as decoded groups are. Raises the ValueError
-    of the first span, in row order, that fails ste_round or holds a value
-    int32 cannot.
+    Column-major (channel-major), as decoded groups are. Each span goes
+    straight into the output: its rows are gathered and scaled in place,
+    one more float buffer takes ste_round's abs, + 0.5, floor and copysign,
+    and one assignment writes it to the int32 columns. Raises ValueError for
+    a span that holds NaN or inf or rounds outside int32; quantize_cloud_kept
+    then quantizes the groups whole to raise their error.
     """
+    factor = float(as_fraction(scale, "q_f"))
     out = np.empty((kept.size, values.shape[1]), dtype=np.int32, order="F")
 
     def quantize(a, b):
-        rows = quantize_features(values[kept[a:b]], scale)
-        out[a:b] = _as_2d(rows, np.int32, out.shape[1], "rows")
+        rows = values[kept[a:b]]
+        rows *= factor
+        rounded = np.abs(rows)
+        rounded += 0.5
+        np.floor(rounded, out=rounded)
+        # NaN fails every comparison; a magnitude of 2**31 fits only as -2**31.
+        fits = rounded.max() < 2.0**31
+        np.copysign(rounded, rows, out=rounded)
+        if not (fits or (rounded.min() >= -(2.0**31) and rounded.max() < 2.0**31)):
+            raise ValueError("rows must round to int32 values")
+        out[a:b] = rounded
 
     run(quantize, spans(kept.size, values.shape[1]))
     return out
@@ -156,11 +170,13 @@ def encode_container(cloud: AnchorCloud) -> bytes:
     if cloud.anchor_count * cloud.layout.total_dims > MAX_ELEMENTS:
         raise ValueError(f"attribute volume exceeds the decoder limit {MAX_ELEMENTS}")
 
-    octree = octree_encode(cloud.positions, cloud.quant.depth)
+    # validate's Morton codes key the octree's leaves and the attribute rows' order.
+    codes = report.morton_codes
+    octree = octree_encode(cloud.positions, cloud.quant.depth, codes)
     if len(octree.occupancy_bytes) > MAX_ELEMENTS:
         raise ValueError(f"octree occupancy exceeds the decoder limit {MAX_ELEMENTS}")
     geometry = rlc_encode(np.frombuffer(octree.occupancy_bytes, dtype=np.uint8)).serialized
-    payloads, _bits = encode_attributes(cloud)
+    payloads, _bits = encode_attributes(cloud, codes)
 
     sections = [geometry, payloads["offsets"], payloads["features"], payloads["scalings"]]
     lengths = [len(sec) for sec in sections]

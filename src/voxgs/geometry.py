@@ -3,11 +3,14 @@
 Bit layout: x occupies bit 0 of each interleaved triple, y bit 1, z bit 2,
 and the octree child index is (z << 2) | (y << 1) | x. With that convention
 the breadth-first leaf order of the octree coincides with ascending Morton
-order, so no extra sort is needed after decoding.
+order, so no extra sort is needed after decoding. The interleave itself,
+morton_encode and morton_decode, lives in model, whose validate keys
+positions by it; this module re-exports it.
 
-The encoder sorts the leaf codes once and builds the levels bottom-up: a new
-parent (code >> 3) starts wherever neighbouring parents differ, its occupancy
-byte ORs its children's slot bits, and those parents form the next level up.
+The encoder sorts the leaf codes unless they already ascend, then builds
+the levels bottom-up: a new parent (code >> 3) starts wherever neighbouring
+parents differ, its occupancy byte ORs its children's slot bits, and those
+parents form the next level up.
 """
 
 from __future__ import annotations
@@ -17,65 +20,19 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import CorruptStreamError
-from .model import MAX_GRID, AnchorCloud, _as_2d
+from .model import AnchorCloud, _as_2d, morton_decode, morton_encode
 
 _U = np.uint64
 
-_SPREAD_MASKS = (
-    _U(0x1F00000000FFFF),
-    _U(0x1F0000FF0000FF),
-    _U(0x100F00F00F00F00F),
-    _U(0x10C30C30C30C30C3),
-    _U(0x1249249249249249),
-)
-_SPREAD_SHIFTS = (_U(32), _U(16), _U(8), _U(4), _U(2))
 
+def sort_by_morton(cloud: AnchorCloud, codes=None) -> AnchorCloud:
+    """Permute anchors into ascending Morton order, carrying attribute rows.
 
-def _spread(v: np.ndarray) -> np.ndarray:
-    """Space the low 21 bits of v three apart (00b2 00b1 00b0)."""
-    v = v.astype(np.uint64) & _U(0x1FFFFF)
-    for shift, mask in zip(_SPREAD_SHIFTS, _SPREAD_MASKS):
-        v = (v | (v << shift)) & mask
-    return v
-
-
-def _compact(v: np.ndarray) -> np.ndarray:
-    v = v.astype(np.uint64) & _SPREAD_MASKS[-1]
-    for shift, mask in zip(reversed(_SPREAD_SHIFTS), reversed((_U(0x1FFFFF),) + _SPREAD_MASKS[:-1])):
-        v = (v | (v >> shift)) & mask
-    return v
-
-
-def morton_encode(xyz) -> np.ndarray:
-    """Interleave (x, y, z) triples into 63-bit Morton codes."""
-    arr = np.asarray(xyz)
-    single = arr.ndim == 1
-    arr = _as_2d(arr.reshape(-1, 3), np.int64, 3, "coordinates")
-    if arr.size and (arr.min() < 0 or arr.max() >= MAX_GRID):
-        raise ValueError(f"coordinates must lie in [0, {MAX_GRID})")
-    codes = (
-        _spread(arr[:, 0])
-        | (_spread(arr[:, 1]) << _U(1))
-        | (_spread(arr[:, 2]) << _U(2))
-    )
-    return codes[0] if single else codes
-
-
-def morton_decode(codes) -> np.ndarray:
-    """Invert morton_encode; returns (n, 3) or (3,) int64 coordinates."""
-    arr = np.asarray(codes)
-    single = arr.ndim == 0
-    arr = _as_2d(arr.reshape(-1, 1), np.uint64, 1, "codes")[:, 0]
-    out = np.empty((arr.size, 3), dtype=np.int64)
-    out[:, 0] = _compact(arr).astype(np.int64)
-    out[:, 1] = _compact(arr >> _U(1)).astype(np.int64)
-    out[:, 2] = _compact(arr >> _U(2)).astype(np.int64)
-    return out[0] if single else out
-
-
-def sort_by_morton(cloud: AnchorCloud) -> AnchorCloud:
-    """Permute anchors into ascending Morton order, carrying attribute rows."""
-    codes = morton_encode(cloud.positions)
+    codes, if given, are the positions' Morton codes in row order (a
+    ValidationReport's morton_codes), so they are not computed again.
+    """
+    if codes is None:
+        codes = morton_encode(cloud.positions)
     if np.all(codes[1:] > codes[:-1]):  # sorted and so duplicate-free, as quantized clouds are
         return cloud
     order = np.argsort(codes, kind="stable")
@@ -100,16 +57,24 @@ class OctreePayload:
     point_count: int
 
 
-def octree_encode(positions, depth: int) -> OctreePayload:
-    """Serialize a duplicate-free voxel set as one occupancy byte per internal node."""
+def octree_encode(positions, depth: int, codes=None) -> OctreePayload:
+    """Serialize a duplicate-free voxel set as one occupancy byte per internal node.
+
+    codes, if given, are the positions' Morton codes in row order, so they
+    are not computed again. Codes already strictly increasing, as a
+    quantized cloud's are, are not sorted.
+    """
     pos = _as_2d(np.reshape(positions, (-1, 3)), np.int64, 3, "positions")
     if depth < 0 or depth > 21:
         raise ValueError("octree depth must be in [0, 21]")
     if pos.size and (pos.min() < 0 or pos.max() >= (1 << depth)):
         raise ValueError(f"coordinates exceed the depth-{depth} grid")
-    codes = np.sort(morton_encode(pos))
-    if np.any(codes[1:] == codes[:-1]):
-        raise ValueError("duplicate positions in octree input")
+    if codes is None:
+        codes = morton_encode(pos)
+    if not np.all(codes[1:] > codes[:-1]):
+        codes = np.sort(codes)
+        if np.any(codes[1:] == codes[:-1]):
+            raise ValueError("duplicate positions in octree input")
 
     levels = []
     nodes = codes

@@ -1,4 +1,5 @@
-"""Core domain types: quantization parameters, attribute layout, anchor clouds."""
+"""Core domain types: quantization parameters, attribute layout, anchor clouds,
+the grid's Morton codes and the validity check."""
 
 from __future__ import annotations
 
@@ -135,6 +136,62 @@ def _normalize(cloud, position_dtype, attribute_dtype):
     object.__setattr__(cloud, "mlp_blob", bytes(cloud.mlp_blob))
 
 
+# The Morton codec (bit layout in geometry's docstring) lives here because
+# validate keys positions by it; geometry sorts and builds the octree on it.
+_U = np.uint64
+
+_SPREAD_MASKS = (
+    _U(0x1F00000000FFFF),
+    _U(0x1F0000FF0000FF),
+    _U(0x100F00F00F00F00F),
+    _U(0x10C30C30C30C30C3),
+    _U(0x1249249249249249),
+)
+_SPREAD_SHIFTS = (_U(32), _U(16), _U(8), _U(4), _U(2))
+
+
+def _spread(v: np.ndarray) -> np.ndarray:
+    """Space the low 21 bits of v three apart (00b2 00b1 00b0)."""
+    v = v.astype(np.uint64) & _U(0x1FFFFF)
+    for shift, mask in zip(_SPREAD_SHIFTS, _SPREAD_MASKS):
+        v = (v | (v << shift)) & mask
+    return v
+
+
+def _compact(v: np.ndarray) -> np.ndarray:
+    v = v.astype(np.uint64) & _SPREAD_MASKS[-1]
+    for shift, mask in zip(reversed(_SPREAD_SHIFTS), reversed((_U(0x1FFFFF),) + _SPREAD_MASKS[:-1])):
+        v = (v | (v >> shift)) & mask
+    return v
+
+
+def morton_encode(xyz) -> np.ndarray:
+    """Interleave (x, y, z) triples into 63-bit Morton codes."""
+    arr = np.asarray(xyz)
+    single = arr.ndim == 1
+    arr = _as_2d(arr.reshape(-1, 3), np.int64, 3, "coordinates")
+    if arr.size and (arr.min() < 0 or arr.max() >= MAX_GRID):
+        raise ValueError(f"coordinates must lie in [0, {MAX_GRID})")
+    codes = (
+        _spread(arr[:, 0])
+        | (_spread(arr[:, 1]) << _U(1))
+        | (_spread(arr[:, 2]) << _U(2))
+    )
+    return codes[0] if single else codes
+
+
+def morton_decode(codes) -> np.ndarray:
+    """Invert morton_encode; returns (n, 3) or (3,) int64 coordinates."""
+    arr = np.asarray(codes)
+    single = arr.ndim == 0
+    arr = _as_2d(arr.reshape(-1, 1), np.uint64, 1, "codes")[:, 0]
+    out = np.empty((arr.size, 3), dtype=np.int64)
+    out[:, 0] = _compact(arr).astype(np.int64)
+    out[:, 1] = _compact(arr >> _U(1)).astype(np.int64)
+    out[:, 2] = _compact(arr >> _U(2)).astype(np.int64)
+    return out[0] if single else out
+
+
 @dataclass(frozen=True)
 class AnchorCloud:
     """Integer anchor cloud: grid positions plus quantized attribute rows.
@@ -203,9 +260,15 @@ class FloatAnchorCloud:
 
 @dataclass
 class ValidationReport:
-    """Findings from validate(); empty iff the cloud satisfies all invariants."""
+    """Findings from validate(); empty iff the cloud satisfies all invariants.
+
+    morton_codes holds the positions' Morton codes in row order when every
+    position lies on the grid, else None; encode_container reads them
+    rather than computing them again.
+    """
 
     findings: list = field(default_factory=list)
+    morton_codes: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     @property
     def valid(self) -> bool:
@@ -229,7 +292,14 @@ def _extent_overflow(bbox, q_p: int):
 
 
 def validate(cloud: AnchorCloud) -> ValidationReport:
-    """Check cloud invariants; reports violations instead of raising."""
+    """Check cloud invariants; reports violations instead of raising.
+
+    Duplicates are found on the positions' Morton codes, which the report
+    keeps. A strictly increasing code array, as every quantized cloud has,
+    holds no duplicate; any other is sorted once. The rows are sorted
+    lexicographically only once a duplicate or an off-grid position is
+    found, to name the first duplicated position in that order.
+    """
     report = ValidationReport()
     if not np.all(np.isfinite(cloud.bbox)):
         report.findings.append("bounding box has non-finite values")
@@ -244,16 +314,24 @@ def validate(cloud: AnchorCloud) -> ValidationReport:
         report.findings.append(
             f"{bad.size} position(s) outside [0, {cloud.quant.q_p}) grid, first at row {bad[0]}"
         )
+        duplicated = True  # off the grid, Morton codes cannot rule duplicates out
+    else:
+        codes = report.morton_codes = morton_encode(pos)
+        duplicated = not np.all(codes[1:] > codes[:-1])
+        if duplicated:
+            codes = np.sort(codes)
+            duplicated = bool(np.any(codes[1:] == codes[:-1]))
 
-    # Sorted rows make each duplicated position one run of equal neighbours.
-    rows = pos[np.lexsort(pos.T[::-1])]
-    same = (rows[1:] == rows[:-1]).all(axis=1)
-    run_starts = same & ~np.r_[False, same[:-1]]
-    if run_starts.any():
-        first = rows[np.argmax(run_starts)]
-        report.findings.append(
-            f"{int(run_starts.sum())} duplicated position(s), e.g. {tuple(int(c) for c in first)}"
-        )
+    if duplicated:
+        # Sorted rows make each duplicated position one run of equal neighbours.
+        rows = pos[np.lexsort(pos.T[::-1])]
+        same = (rows[1:] == rows[:-1]).all(axis=1)
+        run_starts = same & ~np.r_[False, same[:-1]]
+        if run_starts.any():
+            first = rows[np.argmax(run_starts)]
+            report.findings.append(
+                f"{int(run_starts.sum())} duplicated position(s), e.g. {tuple(int(c) for c in first)}"
+            )
 
     for name in GROUPS:
         rows = cloud.group(name).shape[0]

@@ -54,8 +54,13 @@ class LaplaceModel:
     sigma: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.mu) and 0 < self.b < math.inf):
-            raise ValueError("Laplace location must be finite and scale positive and finite")
+        _check_laplace(self.mu, self.b)
+
+
+def _check_laplace(mu, b):
+    """ValueError unless the location mu is finite and the scale b positive and finite."""
+    if not (math.isfinite(mu) and 0 < b < math.inf):
+        raise ValueError("Laplace location must be finite and scale positive and finite")
 
 
 def _multiplicities(counts, values) -> np.ndarray:
@@ -178,7 +183,9 @@ def nll_bits_and_grads(x, mu: float, b: float):
 
     Returns (f, df/dx, df/dmu, df/db) as float64 arrays. Where the
     probability floor binds, all gradients are zero (clamp subgradient).
+    mu and b are checked as LaplaceModel checks them; x is not.
     """
+    _check_laplace(mu, b)
     return tuple(_per_symbol(lambda v: _nll_terms(v, mu, b), x, 4))
 
 

@@ -10,7 +10,11 @@ An attribute group is its channels' streams concatenated, channel-major.
 Channel streams are independent, so a group is coded in spans of channels
 on the pool (see _pool): each span is flattened channel-major with a run
 break forced at every channel start, tokenized at once and packed with one
-varint_pack call, and the spans' bytes are joined in order.
+varint_pack call, and the spans' bytes are joined in order. varint_pack's
+work grows with the multi-byte varints (values of 128 or more), not with the
+varints: every value's low byte is its first byte, and only the multi-byte
+varints set its continuation bit and have their later bytes built and
+inserted after it.
 
 The parse (parse_groups) unpacks a group once with _varint_unpack, whose work
 grows with the continuation bytes (>= 0x80), not with the varints: the bytes
@@ -71,29 +75,37 @@ _VARINT_THRESHOLDS = np.array(
 )
 
 
-def _septet(values: np.ndarray, j: int, more: np.ndarray) -> np.ndarray:
-    """Byte j of each value's varint: 7 value bits plus the continuation bit."""
-    low = (values >> np.uint64(7 * j)) & np.uint64(0x7F)
-    return (low | (more.astype(np.uint64) << np.uint64(7))).astype(np.uint8)
-
-
 def varint_pack(values: np.ndarray) -> bytes:
-    """Serialize integers as concatenated LEB128 varints; ValueError unless uint64 holds each."""
+    """Serialize integers as concatenated LEB128 varints; ValueError unless uint64 holds each.
+
+    The work grows with the multi-byte varints, not with the values: every
+    value's low byte is its first byte, and only the values of 128 or more
+    get their continuation bit set and their later septets built and
+    inserted after it. A stream with no such value is one astype(uint8).
+    """
     v = _as_2d(np.reshape(values, (-1, 1)), np.uint64, 1, "values")[:, 0]
-    if v.size == 0:
-        return b""
-    width = int(np.searchsorted(_VARINT_THRESHOLDS, v.max(), side="right")) + 1
-    nbytes = np.ones(v.size, dtype=np.int64)
-    for threshold in _VARINT_THRESHOLDS[: width - 1]:
-        nbytes += v >= threshold
-    starts = np.cumsum(nbytes) - nbytes
-    out = np.empty(int(starts[-1] + nbytes[-1]), dtype=np.uint8)
-    out[starts] = _septet(v, 0, nbytes > 1)
-    # Later bytes touch only the values that are still that long.
-    idx = np.flatnonzero(nbytes > 1)
-    for j in range(1, width):
-        idx = idx[nbytes[idx] > j]
-        out[starts[idx] + j] = _septet(v[idx], j, nbytes[idx] > j + 1)
+    first = v.astype(np.uint8)
+    wide = np.flatnonzero(v >= 0x80)
+    if not wide.size:
+        return first.tobytes()
+    first[wide] |= 0x80
+    # Septets after the first per wide value: the thresholds it reaches.
+    tails = np.searchsorted(_VARINT_THRESHOLDS, v[wide], side="right")
+    ends = np.cumsum(tails)
+    owner = np.repeat(wide, tails)  # the value index of each tail byte
+    k = np.arange(1, ends[-1] + 1)
+    septet = k - np.repeat(ends - tails, tails)
+    tail = (v[owner] >> (7 * septet).astype(np.uint64)).astype(np.uint8)
+    tail |= 0x80
+    tail[ends - 1] &= 0x7F  # a value's last byte does not continue
+    # Tail byte k lands k bytes past its value's index: after the first
+    # byte and the k - 1 tail bytes before it.
+    at = owner + k
+    out = np.empty(v.size + ends[-1], dtype=np.uint8)
+    keep = np.ones(out.size, dtype=bool)
+    keep[at] = False
+    out[keep] = first
+    out[at] = tail
     return out.tobytes()
 
 
@@ -287,7 +299,7 @@ def rlc_decode(data, max_elements: int = MAX_ELEMENTS) -> np.ndarray:
     return np.repeat(zigzag_decode(pairs[:, 1]), pairs[:, 0].astype(np.int64))
 
 
-def encode_attributes(cloud: AnchorCloud):
+def encode_attributes(cloud: AnchorCloud, codes=None):
     """RLC-encode the three attribute groups, rows sorted into Morton order first.
 
     Morton order is the octree's leaf order, which the decoder returns. Channels
@@ -295,9 +307,10 @@ def encode_attributes(cloud: AnchorCloud):
     then channel 1, and so on, each channel an independent stream. Each span
     of a group's channels is tokenized and serialized in one pass; the bytes
     are those of the per-channel streams concatenated. Returns (payloads,
-    bits) keyed by group.
+    bits) keyed by group. codes, if given, are the positions' Morton codes in
+    row order, which sort_by_morton then reads instead of computing.
     """
-    cloud = sort_by_morton(cloud)
+    cloud = sort_by_morton(cloud, codes)
     payloads = {}
     bits = {}
     for name in GROUPS:

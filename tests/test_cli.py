@@ -391,6 +391,20 @@ class TestSweep:
         assert isinstance(result.exception, SystemExit)
         assert result.output.splitlines() == [f"error: {message}"]
 
+    @pytest.mark.parametrize(
+        "axis,value", [("q_a", "1/0"), ("q_p", "0"), ("q_o", "-2")]
+    )
+    def test_bad_value_exit_2_before_the_scene(self, runner, monkeypatch, axis, value):
+        def no_generate(*args, **kwargs):
+            raise AssertionError("generate_synthetic called")
+
+        monkeypatch.setattr(cont, "generate_synthetic", no_generate)
+        args = ["sweep", "--axis", axis, "--values", f"2,{value}", "--synthetic", "100000"]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert result.output.startswith("error: ")
+
     def test_overflowing_scale_exit_2(self, runner):
         result = runner.invoke(
             main, ["sweep", "--axis", "q_a", "--values", "1e12", "--synthetic", "100"]

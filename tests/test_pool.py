@@ -10,6 +10,7 @@ import sys
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -31,6 +32,7 @@ from voxgs import (
 from voxgs.container import quantize_cloud_kept
 from voxgs.errors import CorruptStreamError
 from voxgs.model import GROUPS
+from voxgs.quantize import quantize_features
 from voxgs.rlc import decode_groups, rlc_encode, varint_pack
 from tests.conftest import assemble_container, random_cloud
 from tests.test_golden import GOLDEN
@@ -183,6 +185,78 @@ class TestSameResults:
         _tiny_tasks(monkeypatch, workers)
         with pytest.raises(ValueError, match=f"^{message}$"):
             quantize_cloud(bad, QUANT)
+
+
+# Values of a feature row at scale 1: ties, signed zeros, the int32 edges and
+# the first magnitudes past them, NaN and infinities.
+EDGE = 2.0**31
+QUANTIZE_CASES = {
+    "ties": [0.5, -0.5, 1.5, -1.5, 2.5, -2.5, 1e6 + 0.5, -1e6 - 0.5],
+    "signed-zero": [-0.0, 0.0, -0.49999999999999994, 0.49999999999999994],
+    "int32-min": [-EDGE],
+    "below-edge": [np.nextafter(EDGE - 0.5, 0), -np.nextafter(EDGE - 0.5, 0)],
+    "edge-tie-negative": [-(EDGE - 0.5)],
+    "edge-tie-positive": [EDGE - 0.5],
+    "past-edge-positive": [EDGE + 0.5],
+    "past-edge-negative": [-(EDGE + 0.5)],
+    "nan": [np.nan],
+    "inf": [np.inf],
+    "-inf": [-np.inf],
+}
+
+
+def _quantize_reference(values, kept, scale):
+    """quantize_features(values[kept], scale) as int32, or None where that
+    raises or a rounded value does not fit int32."""
+    try:
+        rounded = quantize_features(values[kept], scale)
+    except ValueError:
+        return None
+    if rounded.min() < -(2**31) or rounded.max() > 2**31 - 1:
+        return None
+    return rounded.astype(np.int32)
+
+
+class TestQuantizeRows:
+    @WORKER_COUNTS
+    @pytest.mark.parametrize("case", QUANTIZE_CASES)
+    @pytest.mark.parametrize("scale", [1, Fraction(3, 2)], ids=["scale-1", "scale-3/2"])
+    def test_matches_quantize_features_as_int32(self, monkeypatch, workers, case, scale):
+        rng = np.random.default_rng(sorted(QUANTIZE_CASES).index(case))
+        values = rng.normal(0.0, 40.0, size=(300, 7))
+        kept = np.sort(rng.choice(values.shape[0], size=200, replace=False))
+        cases = np.array(QUANTIZE_CASES[case]) / float(scale)
+        rows = rng.choice(kept, size=cases.size, replace=False)
+        values[rows, rng.integers(0, values.shape[1], size=cases.size)] = cases
+        want = _quantize_reference(values, kept, scale)
+        _tiny_tasks(monkeypatch, workers)
+        if want is None:
+            with pytest.raises(ValueError):
+                container._quantize_rows(values, kept, scale)
+        else:
+            got = container._quantize_rows(values, kept, scale)
+            assert got.dtype == np.int32 and got.flags.f_contiguous
+            assert np.array_equal(got, want)
+
+    @WORKER_COUNTS
+    def test_int32_min_quantizes_without_the_whole_group_path(self, monkeypatch, workers):
+        fcloud = generate_synthetic(74, 200, AttributeLayout(k=2, m=3), run_bias=0.5)
+        kept = quantize_cloud_kept(fcloud, QUANT)[1]
+        features = fcloud.features.copy()
+        features[kept[150], 0] = -EDGE
+        good = FloatAnchorCloud(
+            positions=fcloud.positions,
+            offsets=fcloud.offsets,
+            features=features,
+            scalings=fcloud.scalings,
+            layout=fcloud.layout,
+            bbox=fcloud.bbox,
+        )
+        _tiny_tasks(monkeypatch, workers)
+        monkeypatch.setattr(container, "quantize_features", None)  # the whole-group path
+        cloud = quantize_cloud(good, QUANT)
+        assert cloud.features[150, 0] == -(2**31)
+        assert cloud.features.flags.f_contiguous
 
 
 def _varints(data: bytes):

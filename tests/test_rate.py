@@ -299,6 +299,15 @@ class TestGradients:
         assert outputs == 4 * x.nbytes
         assert peak < 1.25 * outputs, peak / outputs
 
+    @pytest.mark.parametrize(
+        "mu,b",
+        [(math.nan, 1.0), (math.inf, 1.0), (0.0, math.inf), (0.0, math.nan), (0.0, 0.0), (0.0, -1.0)],
+    )
+    def test_non_finite_parameters_rejected(self, mu, b):
+        # As LaplaceModel refuses them; before, NaN bits or the 40-bit floor came back.
+        with pytest.raises(ValueError, match="^Laplace location must be finite and scale positive"):
+            nll_bits_and_grads(np.array([1, 2]), mu, b)
+
     def test_nll_bits_matches_grads_value(self):
         rng = np.random.default_rng(66)
         x = rng.integers(-10, 10, size=50).astype(np.float64)

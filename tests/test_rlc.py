@@ -145,6 +145,46 @@ class TestVarint:
 
     @pytest.mark.parametrize(
         "values",
+        [
+            [],
+            [0],
+            [127],
+            [128],
+            [2**14 - 1],
+            [2**14],
+            [2**63],
+            [2**64 - 1],
+            list(range(128)),
+            [128, 2**14, 2**21 + 5, 2**63, 2**64 - 1, 200, 2**56 - 1],
+            [0, 2**64 - 1, 0, 128, 127, 2**14, 0],
+        ],
+        ids=[
+            "empty", "0", "127", "128", "2**14-1", "2**14", "2**63", "2**64-1",
+            "all-narrow", "all-wide", "mixed-ends",
+        ],
+    )
+    def test_matches_scalar_leb128(self, values):
+        v = np.array(values, dtype=np.uint64)
+        assert varint_pack(v) == b"".join(leb128_oracle(x) for x in values)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_mixes_match_scalar_leb128(self, seed):
+        # Mostly one-byte values with multi-byte ones of every length among them,
+        # from streams with none to streams with only those.
+        rng = np.random.default_rng(900 + seed)
+        for wide_share in (0.0, 0.01, 0.3, 1.0):
+            n = int(rng.integers(1, 400))
+            v = rng.integers(0, 128, size=n, dtype=np.uint64)
+            wide = rng.random(n) < wide_share
+            bits = rng.integers(8, 65, size=int(wide.sum())).tolist()
+            v[wide] = [
+                rng.integers(1 << (b - 1), (1 << b) - 1, dtype=np.uint64, endpoint=True)
+                for b in bits
+            ]
+            assert varint_pack(v) == b"".join(leb128_oracle(int(x)) for x in v)
+
+    @pytest.mark.parametrize(
+        "values",
         [[-1], [0, -(2**63)], [1.5], [np.nan], [np.inf], [-np.inf], [2.0**64], [1e30]],
         ids=["negative", "int64-min", "fractional", "nan", "inf", "-inf", "2**64", "1e30"],
     )

@@ -187,14 +187,14 @@ def test_quantize_and_encode_sort_positions_without_row_wise_unique(monkeypatch)
     assert nargs < 5 and "axis" not in kwargs
 
 
-def test_quantize_and_encode_compute_morton_codes_three_times(monkeypatch):
-    # voxelize keys voxels, octree_encode sorts leaves and encode_attributes
-    # checks the row order once; a quantized cloud is never re-sorted.
+def test_quantize_and_encode_compute_morton_codes_twice(monkeypatch):
+    # voxelize keys voxels, and encode computes the codes once, in validate:
+    # octree_encode and encode_attributes read validate's codes.
     fcloud = generate_synthetic(seed=0, anchors=2000, layout=AttributeLayout(k=2, m=4))
-    calls = []
+    callers = []
 
     def spy(*args, **kwargs):
-        calls.append(1)
+        callers.append(sys._getframe(1).f_code.co_name)
         return morton_encode(*args, **kwargs)
 
     modules = [mod for name, mod in sys.modules.items() if name.split(".")[0] == "voxgs"]
@@ -202,4 +202,4 @@ def test_quantize_and_encode_compute_morton_codes_three_times(monkeypatch):
         if getattr(module, "morton_encode", None) is morton_encode:
             monkeypatch.setattr(module, "morton_encode", spy)
     encode_container(quantize_cloud(fcloud, QuantParams(q_p=1024)))
-    assert len(calls) == 3
+    assert callers == ["voxelize", "validate"]
