@@ -56,7 +56,7 @@ from .model import (
     validate,
 )
 from .quantize import dequantize_features, quantize_features, voxelize
-from .rate import RateReport, estimate_bits, fit_laplace, pearson
+from .rate import RateReport, _value_counts, channel_bits, estimate_bits, fit_laplace, pearson
 from .rlc import (
     MAX_ELEMENTS,
     decode_groups,
@@ -75,10 +75,6 @@ VERSION = 1
 # Sections in file order, then the MLP blob, keyed as RateReport.actual_bits.
 _SECTIONS = {"P": "geometry", "O": "offsets", "A": "features", "S": "scalings", "MLP": "mlp"}
 _SECTION_ORDER = tuple(_SECTIONS.values())[:-1]
-
-
-def _varint_bytes(*values) -> bytes:
-    return varint_pack(np.asarray(values, dtype=np.uint64))
 
 
 def _quantize_rows(values: np.ndarray, kept: np.ndarray, scale):
@@ -187,9 +183,9 @@ def encode_container(cloud: AnchorCloud) -> bytes:
     header = (
         MAGIC
         + bytes([VERSION])
-        + _varint_bytes(cloud.anchor_count, q.q_p, *fractions, cloud.layout.k, cloud.layout.m)
+        + varint_pack([cloud.anchor_count, q.q_p, *fractions, cloud.layout.k, cloud.layout.m])
         + struct.pack("<6d", *cloud.bbox.ravel())
-        + _varint_bytes(len(cloud.mlp_blob), *table)
+        + varint_pack([len(cloud.mlp_blob), *table])
     )
     return header + b"".join(sections) + cloud.mlp_blob
 
@@ -290,63 +286,38 @@ def decode_container(data: bytes) -> AnchorCloud:
     )
 
 
-def _value_counts(values: np.ndarray, weights: np.ndarray):
-    """(distinct values, summed weights) as int64, by rate._symbol_table's rule:
-    a bincount over min..max when that range is no longer than the values, else np.unique."""
-    lo, hi = int(values.min()), int(values.max())
-    if hi - lo < values.size:
-        summed = np.bincount(values - lo, weights, hi - lo + 1)
-        distinct = np.flatnonzero(summed)
-        return distinct + lo, summed[distinct].astype(np.int64)
-    distinct, inverse = np.unique(values, return_inverse=True)
-    return distinct, np.bincount(inverse, weights).astype(np.int64)
-
-
 def analyze_container(data: bytes):
     """Build a RateReport (actual vs Laplace-estimated bits) for a container.
 
     Actual bits are the container's own sizes: each section's length from
     the header and each attribute channel's length from the decoder. The
     container is checked as decode_container checks it but never expanded:
-    fits and estimates take each channel's distinct token values and summed
-    run lengths, span by span as decode expands, and the group's, merged.
+    _value_counts turns each span of channels' tokens into value counts,
+    channel_bits prices a group's channels in one pass, and fit_laplace and
+    estimate_bits price the group from its channels' counts, merged.
     """
     anchor_count, _, layout, _, sections, _ = _decode(data)
     actual = _section_bits(sections)
     estimated = dict.fromkeys("OAS", 0.0)
-    channel_est = []
-    channel_act = []
+    channel_est, channel_act = [], []
     for key, (_, pairs, bounds, nbytes) in zip("OAS", parse_groups(sections, layout, anchor_count)):
         if anchor_count == 0:
             continue
-        distinct, counts = [], []
+        rows = []
         for a, b in spans(len(bounds) - 1, anchor_count):
             runs, zigzag = pairs[bounds[a] : bounds[b]].T
-            values = zigzag_decode(zigzag)
-            ends = np.subtract(bounds[a : b + 1], bounds[a])
-            for lo, hi in zip(ends[:-1], ends[1:]):
-                v, n = _value_counts(values[lo:hi], runs[lo:hi])
-                channel_est.append(estimate_bits(fit_laplace(v, n), v, n))
-                distinct.append(v)
-                counts.append(n)
-        v, n = _value_counts(np.concatenate(distinct), np.concatenate(counts))
+            channels, v, n = _value_counts(zigzag_decode(zigzag), runs, np.diff(bounds[a : b + 1]))
+            rows.append((channels + a, v, n))
+        channels, v, n = map(np.concatenate, zip(*rows))
+        channel_est.extend(channel_bits(channels, v, n))
+        _, v, n = _value_counts(v, n, [v.size])
         estimated[key] = estimate_bits(fit_laplace(v, n), v, n)
         channel_act.extend(8 * nbytes)
 
     est_total = sum(estimated.values())
-    alpha = (
-        sum(actual[g] for g in ("O", "A", "S")) / est_total if est_total else float("nan")
-    )
-    group_alpha = {
-        g: (actual[g] / estimated[g] if estimated[g] else None) for g in ("O", "A", "S")
-    }
-    return RateReport(
-        actual_bits=actual,
-        estimated_bits=estimated,
-        group_alpha=group_alpha,
-        alpha=alpha,
-        correlation=pearson(channel_est, channel_act),
-    )
+    alpha = sum(actual[g] for g in "OAS") / est_total if est_total else float("nan")
+    group_alpha = {g: actual[g] / estimated[g] if estimated[g] else None for g in "OAS"}
+    return RateReport(actual, estimated, group_alpha, alpha, pearson(channel_est, channel_act))
 
 
 def write_anchor_file(path, fcloud: FloatAnchorCloud) -> None:

@@ -64,7 +64,7 @@ def octree_encode(positions, depth: int, codes=None) -> OctreePayload:
     are not computed again. Codes already strictly increasing, as a
     quantized cloud's are, are not sorted.
     """
-    pos = _as_2d(np.reshape(positions, (-1, 3)), np.int64, 3, "positions")
+    pos = _as_2d(positions, np.int64, 3, "positions", flat=True)
     if depth < 0 or depth > 21:
         raise ValueError("octree depth must be in [0, 21]")
     if pos.size and (pos.min() < 0 or pos.max() >= (1 << depth)):

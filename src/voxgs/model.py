@@ -108,18 +108,26 @@ class AttributeLayout:
         }[group]
 
 
-def _as_2d(a, dtype, cols, name):
-    """a as an (n, cols) dtype array; integer storage takes only values it holds exactly."""
+def _as_2d(a, dtype, cols, name, flat=False):
+    """a (flat=True: its values) as (n, cols) dtype; integer storage takes only exact values."""
     arr = np.asarray(a)
+    # NumPy rounds a sequence's integers past int64 to float64; as objects they stay exact.
+    if not isinstance(a, np.ndarray) and arr.dtype.kind in "fO" and np.dtype(dtype).kind in "iu":
+        arr = np.asarray(a, dtype=object)
+    if flat:
+        arr = arr.reshape(-1, cols)
     if arr.ndim != 2 or (arr.size and arr.shape[1] != cols):
         raise ValueError(f"{name} must have shape (n, {cols}), got {arr.shape}")
     # A cast numpy calls safe (bool or a narrower integer) keeps every value.
     if arr.size and np.issubdtype(dtype, np.integer) and not np.can_cast(arr.dtype, dtype):
+        info = np.iinfo(dtype)
         if arr.dtype.kind not in "iu":
-            real = np.asarray(arr, dtype=np.float64)
+            try:
+                real = np.asarray(arr, dtype=np.float64)
+            except OverflowError:  # a Python integer beyond float64's range
+                raise ValueError(f"{name} integers overflow {info.dtype} storage") from None
             if not (np.isfinite(real).all() and (real == np.trunc(real)).all()):
                 raise ValueError(f"{name} must hold finite integers")
-        info = np.iinfo(dtype)
         # info.max + 1 is a power of two, so float input compares exactly too.
         if arr.min() < info.min or arr.max() >= info.max + 1:
             raise ValueError(f"{name} integers overflow {info.dtype} storage")
@@ -167,9 +175,8 @@ def _compact(v: np.ndarray) -> np.ndarray:
 
 def morton_encode(xyz) -> np.ndarray:
     """Interleave (x, y, z) triples into 63-bit Morton codes."""
-    arr = np.asarray(xyz)
-    single = arr.ndim == 1
-    arr = _as_2d(arr.reshape(-1, 3), np.int64, 3, "coordinates")
+    single = np.ndim(xyz) == 1
+    arr = _as_2d(xyz, np.int64, 3, "coordinates", flat=True)
     if arr.size and (arr.min() < 0 or arr.max() >= MAX_GRID):
         raise ValueError(f"coordinates must lie in [0, {MAX_GRID})")
     codes = (
@@ -182,9 +189,8 @@ def morton_encode(xyz) -> np.ndarray:
 
 def morton_decode(codes) -> np.ndarray:
     """Invert morton_encode; returns (n, 3) or (3,) int64 coordinates."""
-    arr = np.asarray(codes)
-    single = arr.ndim == 0
-    arr = _as_2d(arr.reshape(-1, 1), np.uint64, 1, "codes")[:, 0]
+    single = np.ndim(codes) == 0
+    arr = _as_2d(codes, np.uint64, 1, "codes", flat=True)[:, 0]
     out = np.empty((arr.size, 3), dtype=np.int64)
     out[:, 0] = _compact(arr).astype(np.int64)
     out[:, 1] = _compact(arr >> _U(1)).astype(np.int64)

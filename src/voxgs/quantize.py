@@ -90,7 +90,7 @@ def voxelize(points, q_p: int, bbox):
     # Morton codes are injective on the grid, so they key voxels in 1-D, and
     # np.unique's sorted order is Morton order.
     _, kept, dup_map = np.unique(morton_encode(grid), return_index=True, return_inverse=True)
-    return grid[kept], kept, dup_map
+    return np.take(grid, kept, axis=0), kept, dup_map
 
 
 def quantize_positions(points, q_p: int, bbox):

@@ -17,10 +17,10 @@ so totals keep their bits too. Wide integer streams and every float stream
 are evaluated directly, in pieces of _BLOCK symbols. Both functions share
 one evaluator, _per_symbol, that makes this choice.
 
-Given counts, each value's multiplicity (analyze_container reads them off
-run-length tokens), fit_laplace and estimate_bits weight their sums by them
-instead of repeating the values. Where integer sums stay below 2**53 the mean
-keeps its bits; variance and bits may move in the last bits (never without counts).
+Given counts, each value's multiplicity, fit_laplace and estimate_bits weight
+their sums by them instead of repeating the values, which moves only the last
+bits. analyze_container counts run-length tokens with _value_counts and prices
+a group's channels at once with channel_bits, that weighted fit by channel.
 """
 
 from __future__ import annotations
@@ -67,7 +67,7 @@ def _multiplicities(counts, values) -> np.ndarray:
     """counts as int64; ValueError unless it has values' shape and non-negative integers."""
     if np.shape(counts) != np.shape(values):
         raise ValueError(f"counts must have the shape of values {np.shape(values)}")
-    weights = _as_2d(np.reshape(counts, (-1, 1)), np.int64, 1, "counts")[:, 0]
+    weights = _as_2d(counts, np.int64, 1, "counts", flat=True)[:, 0]
     if weights.size and weights.min() < 0:
         raise ValueError("counts must be non-negative")
     return weights
@@ -124,8 +124,11 @@ def interval_prob(model: LaplaceModel, x, floor: bool = True):
 
 
 def nll_bits(model: LaplaceModel, x) -> np.ndarray:
-    """Per-symbol -log2 interval probability, floored."""
-    return -np.log2(interval_prob(model, np.atleast_1d(np.asarray(x, dtype=np.float64))))
+    """Per-symbol -log2 interval probability, floored; ValueError for a non-finite x."""
+    arr = np.atleast_1d(np.asarray(x, dtype=np.float64))
+    if not np.isfinite(arr).all():
+        raise ValueError("nll_bits requires finite input")
+    return -np.log2(interval_prob(model, arr))
 
 
 def _symbol_table(x: np.ndarray):
@@ -194,8 +197,43 @@ def estimate_bits(model: LaplaceModel, values, counts=None) -> float:
     values = np.asarray(values)
     if values.dtype.kind not in "iu" and not np.all(np.isfinite(values)):
         raise ValueError("estimate_bits requires finite input")
-    bits = _per_symbol(lambda v: (nll_bits(model, v),), values, 1)[0]
+    # The values are checked above, so the kernel skips nll_bits' check of each table or block.
+    bits = _per_symbol(lambda v: (-np.log2(interval_prob(model, v)),), values, 1)[0]
     return float((bits if counts is None else _multiplicities(counts, values) * bits).sum())
+
+
+def _value_counts(values, weights, lengths):
+    """(channels, distinct, counts) int64 rows: each channel's distinct values, summed weights.
+
+    Channel c holds the lengths[c] values and weights after channel c - 1's. Rows come
+    channel-major, values ascending; a zero sum drops its row. One table keyed
+    channel * width + value - lo counts every channel, by _symbol_table's rule or np.unique.
+    """
+    lo = int(values.min())
+    width = int(values.max()) - lo + 1
+    keys = values + np.repeat(np.arange(len(lengths)) * width - lo, lengths)
+    found = _symbol_table(keys)
+    table, index = np.unique(keys, return_inverse=True) if found is None else found
+    counts = np.bincount(index, weights, len(table))
+    kept = np.flatnonzero(counts)
+    channels, distinct = np.divmod(table[kept].astype(np.int64), width)
+    return channels, distinct + lo, counts[kept].astype(np.int64)
+
+
+def channel_bits(channels, values, counts) -> np.ndarray:
+    """Each channel's estimate_bits(fit_laplace(v, n), v, n) from _value_counts' rows.
+
+    Every channel 0..channels.max() needs a row. np.bincount by channel sums mu and sigma,
+    b = max(sigma / sqrt(2), B_MIN), and one _laplace_terms call floored at PROB_FLOOR prices
+    every row. The sums run in another order than those calls', so bits agree to rounding.
+    """
+    n, x = np.asarray(counts, dtype=np.float64), np.asarray(values, dtype=np.float64)
+    total = np.bincount(channels, n)
+    mu = np.bincount(channels, n * x) / total
+    dev = x - mu[channels]
+    b = np.maximum(np.sqrt(np.bincount(channels, n * dev * dev) / total) / _SQRT2, B_MIN)
+    q = np.maximum(_laplace_terms(x, mu[channels], b[channels])[0], PROB_FLOOR)
+    return np.bincount(channels, n * -np.log2(q))
 
 
 def pearson(xs, ys):
@@ -233,7 +271,7 @@ def calibrate_alpha(corpus) -> CalibrationResult:
     est = []
     act = []
     for seq in corpus:
-        arr = _as_2d(np.reshape(seq, (-1, 1)), np.int64, 1, "values")[:, 0]
+        arr = _as_2d(seq, np.int64, 1, "values", flat=True)[:, 0]
         if arr.size == 0:
             raise ValueError("calibration corpus contains an empty sequence")
         est.append(estimate_bits(fit_laplace(arr), arr))

@@ -83,7 +83,7 @@ def varint_pack(values: np.ndarray) -> bytes:
     get their continuation bit set and their later septets built and
     inserted after it. A stream with no such value is one astype(uint8).
     """
-    v = _as_2d(np.reshape(values, (-1, 1)), np.uint64, 1, "values")[:, 0]
+    v = _as_2d(values, np.uint64, 1, "values", flat=True)[:, 0]
     first = v.astype(np.uint8)
     wide = np.flatnonzero(v >= 0x80)
     if not wide.size:
@@ -214,8 +214,7 @@ def rlc_encode(values) -> RlcStream:
 
     Raises ValueError for a value that is not an integer int64 holds.
     """
-    seq = _as_2d(np.reshape(values, (-1, 1)), np.int64, 1, "values")
-    return RlcStream(serialized=_encode_channels(seq))
+    return RlcStream(serialized=_encode_channels(_as_2d(values, np.int64, 1, "values", flat=True)))
 
 
 def _parse_channels(data, dims: int, max_elements: int):

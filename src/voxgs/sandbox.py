@@ -94,11 +94,9 @@ class SandboxScene:
 @dataclass(frozen=True)
 class LossBreakdown:
     l1: float
-    l2: float
     mse: float
     rate_loss: float     # sum over groups of mean per-symbol bits
     est_bits: float      # total estimated bits over all groups
-    total: float
 
 
 @dataclass
@@ -210,11 +208,9 @@ def step(
 
     return LossBreakdown(
         l1=l1_sum / dims_total,
-        l2=sq_sum / dims_total,
         mse=sq_sum / max(elem_total, 1),
         rate_loss=rate_loss_total,
         est_bits=est_total,
-        total=total,
     )
 
 

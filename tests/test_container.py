@@ -641,7 +641,52 @@ def _assert_estimates_match_the_per_symbol_loop(monkeypatch, blob):
     assert scatters[0] == pytest.approx(channels, rel=1e-12, abs=0)
 
 
+def _batched_edge_cloud(name):
+    """A cloud whose channels reach an edge of analyze's batched pass."""
+    synthetic = {"one-anchor": (5, 1, 10, 50), "k1-m1": (6, 200, 1, 1), "k10-m50": (7, 300, 10, 50)}
+    if name in synthetic:
+        seed, n, k, m = synthetic[name]
+        fcloud = generate_synthetic(seed, n, AttributeLayout(k=k, m=m))
+        return quantize_cloud(fcloud, QuantParams(q_p=1024))
+    n = 32
+    rng = np.random.default_rng(23)
+    offsets = np.zeros((n, 3), dtype=np.int64)
+    offsets[:, 0] = -4  # constant: b = B_MIN
+    offsets[:, 1] = rng.choice([-(2**31), 2**31 - 1, 1], n)  # keys wider than the span
+    offsets[:, 2] = rng.integers(-2, 3, n)
+    return AnchorCloud(
+        positions=np.column_stack([np.arange(n)] * 3),
+        offsets=offsets,
+        features=rng.integers(-1, 2, (n, 2)),
+        scalings=np.repeat(rng.integers(-3, 4, (n // 4, 6)), 4, axis=0),
+        layout=AttributeLayout(k=1, m=2),
+        quant=QuantParams(q_p=64),
+        bbox=BOX,
+    )
+
+
 class TestAnalyzeContainer:
+    @pytest.mark.parametrize("task_elements", [1, 1 << 40], ids=["span-per-channel", "one-span"])
+    @pytest.mark.parametrize("name", ["edge", "one-anchor", "k1-m1", "k10-m50"])
+    def test_batched_pass_matches_per_channel_calls(self, monkeypatch, name, task_elements):
+        # Channel bits to 1e-12 of estimate_bits(fit_laplace(col), col); group bits
+        # bit for bit those of the group's merged value counts.
+        blob = encode_container(_batched_edge_cloud(name))
+        cloud = decode_container(blob)
+        groups, channels = [], []
+        for group in GROUPS:
+            cols = cloud.group(group).T.astype(np.int64)
+            channels += [estimate_bits(fit_laplace(col), col) for col in cols]
+            v, n = np.unique(cols, return_counts=True)
+            groups.append(estimate_bits(fit_laplace(v, n), v, n))
+        scatters = []
+        pearson = cont.pearson
+        monkeypatch.setattr(cont, "pearson", lambda xs, ys: scatters.append(xs) or pearson(xs, ys))
+        monkeypatch.setattr(_pool, "_TASK_ELEMENTS", task_elements)
+        report = analyze_container(blob)
+        assert [report.estimated_bits[key] for key in "OAS"] == groups
+        assert list(scatters[0]) == pytest.approx(channels, rel=1e-12, abs=0)
+
     def test_report_shape(self):
         blob = encode_container(
             quantize_cloud(_float_cloud(seed=8, anchors=400, mlp_bytes=64), QuantParams(q_p=128))

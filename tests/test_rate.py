@@ -28,6 +28,8 @@ from voxgs.rate import (
     _laplace_terms,
     _nll_terms,
     _symbol_table,
+    _value_counts,
+    channel_bits,
     nll_bits,
     nll_bits_and_grads,
     pearson,
@@ -214,6 +216,12 @@ class TestEstimateBits:
             estimate_bits(fit_laplace([1, 2]), values)
         with pytest.raises(ValueError, match="^estimate_bits requires finite input$"):
             estimate_bits(fit_laplace([1, 2]), values, [1] * len(values))
+
+    @pytest.mark.parametrize("x", [[math.nan], [1.0, math.inf], -math.inf])
+    def test_nll_bits_rejects_non_finite_symbols(self, x):
+        # Before, NaN came back as NaN bits and inf as the 40-bit floor.
+        with pytest.raises(ValueError, match="^nll_bits requires finite input$"):
+            nll_bits(fit_laplace([1, 2]), x)
 
     def test_constant_stream_finite(self):
         model = fit_laplace([0] * 100)
@@ -430,6 +438,62 @@ class TestSymbolTableMatchesDirect:
         table, index = _symbol_table(x)
         assert table.dtype == np.float64 and table.tolist() == [-2, -1, 0, 1, 2, 3]
         assert np.array_equal(table[index], x)
+
+
+def _per_channel_rows(channels, weights):
+    """_value_counts' rows of the channels, one np.unique per channel."""
+    rows = []
+    for c, (values, w) in enumerate(zip(channels, weights)):
+        distinct, inverse = np.unique(np.asarray(values, dtype=np.int64), return_inverse=True)
+        counts = np.bincount(inverse, w).astype(np.int64)
+        rows.append((np.full(distinct.size, c), distinct, counts))
+    return [np.concatenate(col) for col in zip(*rows)]
+
+
+class TestBatchedChannels:
+    """_value_counts and channel_bits equal their per-channel counterparts."""
+
+    CASES = {
+        "dense": [[0, 1, 1, 0, 1], [1, 0, 0, 1], [1, 1, 1]],
+        "narrow": [[5, 5, 5, 5], [1, -1, 1, 2, 2], [0], [3, 4, 3]],
+        "wide-beside-narrow": [[5, 5, 5], [INT32_MIN, INT32_MAX, 0, INT32_MIN], [1, -1, 1, 2]],
+        "one-channel": [[7, -2, 7, 7, 0]],
+        "one-value-each": [[3], [-3], [0]],
+    }
+
+    @pytest.mark.parametrize("name", CASES)
+    def test_rows_and_bits_match_per_channel_calls(self, name):
+        channels = self.CASES[name]
+        rng = np.random.default_rng(len(name))
+        weights = [rng.integers(1, 6, len(values)) for values in channels]
+        values = np.concatenate([np.asarray(v, dtype=np.int64) for v in channels])
+        lengths = [len(v) for v in channels]
+        rows = _value_counts(values, np.concatenate(weights), lengths)
+        for got, want in zip(rows, _per_channel_rows(channels, weights)):
+            assert got.dtype == np.int64 and np.array_equal(got, want)
+        expected = []
+        for c in range(len(channels)):
+            v, n = rows[1][rows[0] == c], rows[2][rows[0] == c]
+            expected.append(estimate_bits(fit_laplace(v, n), v, n))
+        assert channel_bits(*rows).tolist() == pytest.approx(expected, rel=1e-12, abs=0)
+
+    def test_table_and_unique_paths_both_taken(self, monkeypatch):
+        found = []
+        table = rate._symbol_table
+        monkeypatch.setattr(rate, "_symbol_table", lambda x: found.append(table(x)) or found[-1])
+        for name in ("dense", "wide-beside-narrow"):
+            values = np.concatenate([np.asarray(v, dtype=np.int64) for v in self.CASES[name]])
+            _value_counts(values, np.ones(values.size), [len(v) for v in self.CASES[name]])
+        assert [f is None for f in found] == [False, True]
+
+    def test_constant_channel_gets_floor_scale(self):
+        rows = [np.array([0, 1, 1]), np.array([4, -1, 1]), np.array([9, 3, 3])]
+        bits = channel_bits(*rows)
+        floor = estimate_bits(LaplaceModel(mu=4.0, b=B_MIN, sigma=0.0), [4] * 9)
+        assert bits[0] == floor
+        assert bits[1] == pytest.approx(
+            estimate_bits(fit_laplace([-1, 1], [3, 3]), [-1, 1], [3, 3]), rel=1e-12
+        )
 
 
 class TestKernelWork:

@@ -184,6 +184,20 @@ class TestVarint:
             assert varint_pack(v) == b"".join(leb128_oracle(int(x)) for x in v)
 
     @pytest.mark.parametrize(
+        "values", [[2**53 + 1, 2**63], [5, 2**64 - 1], (2**64 - 1, 2**53 + 1, 0, 2**63 + 1)]
+    )
+    def test_python_sequences_of_wide_integers_stay_exact(self, values):
+        # NumPy stores these sequences as float64, which rounds 2**53 + 1 to 2**53.
+        assert varint_pack(values) == b"".join(leb128_oracle(x) for x in values)
+
+    @pytest.mark.parametrize(
+        "values", [[2**64], [-1, 2**63], [2**63, 0.5], [2**63, float("nan")], [10**400, 1]]
+    )
+    def test_python_sequences_uint64_cannot_hold_rejected(self, values):
+        with pytest.raises(ValueError, match="^values (integers overflow|must hold finite)"):
+            varint_pack(values)
+
+    @pytest.mark.parametrize(
         "values",
         [[-1], [0, -(2**63)], [1.5], [np.nan], [np.inf], [-np.inf], [2.0**64], [1e30]],
         ids=["negative", "int64-min", "fractional", "nan", "inf", "-inf", "2**64", "1e30"],
