@@ -5,12 +5,16 @@ and the octree child index is (z << 2) | (y << 1) | x. With that convention
 the breadth-first leaf order of the octree coincides with ascending Morton
 order, so no extra sort is needed after decoding. The interleave itself,
 morton_encode and morton_decode, lives in model, whose validate keys
-positions by it; this module re-exports it.
+positions by it; this module re-exports it. morton_encode spreads each axis
+by lookups into 2048-entry tables pre-shifted per axis, one 11-bit chunk per
+axis, or two when the largest coordinate is 2**11 or more.
 
 The encoder sorts the leaf codes unless they already ascend, then builds
 the levels bottom-up: a new parent (code >> 3) starts wherever neighbouring
 parents differ, its occupancy byte ORs its children's slot bits, and those
-parents form the next level up.
+parents form the next level up. The decoder locates the first zero byte
+once, before the levels, and builds each level's codes in int64 from the
+unpacked bits of that level's bytes.
 """
 
 from __future__ import annotations
@@ -78,11 +82,15 @@ def octree_encode(positions, depth: int, codes=None) -> OctreePayload:
 
     levels = []
     nodes = codes
+    # new[i]: node i's parent differs from node i - 1's; levels only shrink.
+    new = np.empty(codes.size, dtype=bool)
+    new[:1] = True
     for _level in range(depth if codes.size else 0):
         parents = nodes >> _U(3)
         slots = (nodes & _U(7)).astype(np.uint8)
-        starts = np.flatnonzero(np.r_[True, parents[1:] != parents[:-1]])
-        levels.append(np.bitwise_or.reduceat(np.left_shift(1, slots).astype(np.uint8), starts))
+        np.not_equal(parents[1:], parents[:-1], out=new[1 : nodes.size])
+        starts = np.flatnonzero(new[: nodes.size])
+        levels.append(np.bitwise_or.reduceat(np.left_shift(np.uint8(1), slots), starts))
         nodes = parents[starts]
     out = b"".join(occ.tobytes() for occ in reversed(levels))
     return OctreePayload(depth=depth, occupancy_bytes=out, point_count=int(codes.size))
@@ -100,19 +108,22 @@ def octree_decode(payload: OctreePayload) -> np.ndarray:
             raise CorruptStreamError("trailing bytes in empty octree payload")
         return np.zeros((0, 3), dtype=np.int64)
 
-    nodes = np.zeros(1, dtype=np.uint64)
+    # The first zero byte's index, else buf.size; argmin allocates nothing.
+    zero = int(buf.argmin()) if buf.size else 0
+    if not buf.size or buf[zero]:
+        zero = buf.size
+    nodes = np.zeros(1, dtype=np.int64)
     pos = 0
     for _level in range(depth):
         count = nodes.size
         if pos + count > buf.size:
             raise CorruptStreamError("truncated octree payload")
-        occ = buf[pos : pos + count]
-        pos += count
-        if np.any(occ == 0):
+        if zero < pos + count:
             raise CorruptStreamError("zero occupancy byte at internal node")
         # Set bit j of byte i is child j of node i, in breadth-first order.
-        slots = np.flatnonzero(np.unpackbits(occ, bitorder="little"))
-        nodes = (nodes[slots >> 3] << _U(3)) | (slots & 7).astype(np.uint64)
+        slots = np.flatnonzero(np.unpackbits(buf[pos : pos + count], bitorder="little"))
+        pos += count
+        nodes = (nodes[slots >> 3] << 3) | (slots & 7)
         # Levels never shrink, so a level above point_count cannot end there;
         # failing here keeps each level's allocation within 8 * point_count.
         if nodes.size > payload.point_count:
@@ -125,4 +136,4 @@ def octree_decode(payload: OctreePayload) -> np.ndarray:
         raise CorruptStreamError(
             f"decoded {nodes.size} voxels, header says {payload.point_count}"
         )
-    return morton_decode(nodes)
+    return morton_decode(nodes.view(np.uint64))

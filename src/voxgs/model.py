@@ -148,6 +148,18 @@ def _normalize(cloud, position_dtype, attribute_dtype):
 # validate keys positions by it; geometry sorts and builds the octree on it.
 _U = np.uint64
 
+# Encoding spreads each axis by table lookup, 11 bits at a time:
+# _SPREAD[a][v] is v's bits spaced three apart (00b2 00b1 00b0) and moved up
+# a bits to axis a; _SPREAD_HIGH is the same for coordinate bits 11 to 21.
+_CHUNK = 11
+_SPREAD = np.zeros((3, 1 << _CHUNK), dtype=np.uint64)
+_values = np.arange(1 << _CHUNK, dtype=np.uint64)
+for _bit in range(_CHUNK):
+    _SPREAD[0] |= ((_values >> _U(_bit)) & _U(1)) << _U(3 * _bit)
+_SPREAD[1:] = _SPREAD[0] << np.array([[1], [2]], dtype=np.uint64)
+_SPREAD_HIGH = _SPREAD << _U(3 * _CHUNK)
+
+# Decoding gathers each axis's bits back with shift/mask passes.
 _SPREAD_MASKS = (
     _U(0x1F00000000FFFF),
     _U(0x1F0000FF0000FF),
@@ -156,14 +168,6 @@ _SPREAD_MASKS = (
     _U(0x1249249249249249),
 )
 _SPREAD_SHIFTS = (_U(32), _U(16), _U(8), _U(4), _U(2))
-
-
-def _spread(v: np.ndarray) -> np.ndarray:
-    """Space the low 21 bits of v three apart (00b2 00b1 00b0)."""
-    v = v.astype(np.uint64) & _U(0x1FFFFF)
-    for shift, mask in zip(_SPREAD_SHIFTS, _SPREAD_MASKS):
-        v = (v | (v << shift)) & mask
-    return v
 
 
 def _compact(v: np.ndarray) -> np.ndarray:
@@ -177,13 +181,17 @@ def morton_encode(xyz) -> np.ndarray:
     """Interleave (x, y, z) triples into 63-bit Morton codes."""
     single = np.ndim(xyz) == 1
     arr = _as_2d(xyz, np.int64, 3, "coordinates", flat=True)
-    if arr.size and (arr.min() < 0 or arr.max() >= MAX_GRID):
+    top = arr.max(initial=0)
+    if top >= MAX_GRID or arr.min(initial=0) < 0:
         raise ValueError(f"coordinates must lie in [0, {MAX_GRID})")
-    codes = (
-        _spread(arr[:, 0])
-        | (_spread(arr[:, 1]) << _U(1))
-        | (_spread(arr[:, 2]) << _U(2))
-    )
+    codes = np.zeros(arr.shape[0], dtype=np.uint64)
+    # A grid below 2**11 needs only the low chunk of each axis.
+    for low, high, col in zip(_SPREAD, _SPREAD_HIGH, arr.T):
+        if top >> _CHUNK:
+            codes |= low[col & ((1 << _CHUNK) - 1)]
+            codes |= high[col >> _CHUNK]
+        else:
+            codes |= low[col]
     return codes[0] if single else codes
 
 

@@ -24,9 +24,20 @@ septets. Besides the values it returns, for each continuation byte, the
 index of the varint that owns it. The parse then walks the group's channels
 on two prefix sums of the run slots, one per slot parity, and drops their
 count slots, so a group's tokens are one array of (run, zigzag value) pairs
-and a channel's a slice of it. It checks every fault, in order: varints, the
-walk, a run of zero, a channel count, trailing bytes, and last an int32
-overflow (a zigzag code of 2**32 or more). decode_groups then repeats each
+and a channel's a slice of it. The walk is a Python loop on Python ints
+read from the arrays, with one binary search per channel for its end, and
+it builds the channels' counts, bounds and ends as arrays once it is done.
+It checks every fault, in order: varints, the walk, a run of zero, a
+channel count, trailing bytes, and last an int32 overflow (a zigzag code of
+2**32 or more). When the three payloads together fit one pool task
+(_pool._TASK_ELEMENTS bytes), they are parsed joined, as one buffer of all
+the channels in one call, so a small container pays the per-call costs
+once, not once per group. The joined parse stands only if, in it, every
+count is the anchor count, no value overflows int32 and each group's last
+channel ends exactly at its payload's end, which keeps every varint inside
+its own payload; on any failure the groups are parsed one by one, as larger
+payloads always are, so the first fault and its message are those of the
+per-group parse. decode_groups then repeats each
 span of channels into its columns, unchecked, on the calling thread:
 np.repeat holds the interpreter lock, and the spans bound the temporaries.
 analyze_container runs only the parse. A single channel (rlc_encode,
@@ -47,6 +58,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _pool
 from ._pool import run, spans
 from .errors import CorruptStreamError
 from .geometry import sort_by_morton
@@ -200,12 +212,18 @@ def _encode_channels(mat: np.ndarray) -> bytes:
         starts = np.flatnonzero(brk)
     else:
         starts = np.zeros(0, dtype=np.int64)
-    pairs = np.empty((starts.size, 2), dtype=np.uint64)
-    pairs[:, 0] = np.diff(starts, append=flat.size)
-    pairs[:, 1] = zigzag_encode(flat[starts])
     # Each channel's count slot goes before the pair of its first token.
     first_token = np.searchsorted(starts // max(n, 1), np.arange(dims))
-    slots = np.insert(pairs.ravel(), 2 * first_token, n)
+    slots = np.empty(2 * starts.size + dims, dtype=np.uint64)
+    head = np.zeros(slots.size, dtype=bool)
+    head[2 * first_token + np.arange(dims)] = True
+    slots[head] = n
+    if starts.size:
+        pairs = np.empty((starts.size, 2), dtype=np.uint64)
+        np.subtract(starts[1:], starts[:-1], out=pairs[:-1, 0], casting="unsafe")
+        pairs[-1, 0] = flat.size - starts[-1]
+        pairs[:, 1] = zigzag_encode(flat[starts])
+        slots[~head] = pairs.ravel()
     return varint_pack(slots)
 
 
@@ -221,8 +239,11 @@ def _parse_channels(data, dims: int, max_elements: int):
     """Parse dims consecutive channel streams from the start of a byte buffer.
 
     Run sums come from one prefix sum per slot parity over the whole group.
-    A channel's end is then a binary search within its own window of
-    2 * count slots, so no channel scans the slots of the channels after it.
+    The walk reads each channel's count and prefix entries as Python ints,
+    and one binary search over its parity's whole prefix finds the first
+    entry at least the entry at the channel's start plus its count. The
+    runs sum to the count exactly when that entry equals it no more than
+    count tokens on. Counts, token bounds and byte ends are built after it.
     Returns (pairs, bounds, counts, nbytes): pairs holds each token as a
     uint64 (run, zigzag value) row, channel c's at pairs[bounds[c]:bounds[c + 1]],
     and nbytes each channel's byte length, found from the continuation bytes
@@ -233,43 +254,48 @@ def _parse_channels(data, dims: int, max_elements: int):
     # Each parity's slots are clipped and summed in place into its prefix.
     # Clipping keeps the sums from wrapping; a clipped run still overshoots
     # any count the caller accepts. Freed before the pairs exist.
-    half = (varints.size + 1) // 2 + 1
-    cums = np.empty(varints.size + 2, dtype=np.int64)
+    size = varints.size
+    half = (size + 1) // 2 + 1
+    cums = np.empty(size + 2, dtype=np.int64)
     prefix = (cums[:half], cums[half:])
     for parity, cum in enumerate(prefix):
         cum[0] = 0
         sums = cum[1:].view(np.uint64)
         np.minimum(varints[parity::2], max_elements + 1, out=sums)
         np.cumsum(sums, out=sums)
-    counts = []
-    slots = []
-    lasts = []
-    bounds = [0]
+    slots = []  # each channel's count slot, then the end of the last
     cursor = 0
     for _ in range(dims):
-        if cursor >= varints.size:
+        if cursor >= size:
             raise CorruptStreamError("missing channel stream")
-        count = int(varints[cursor])
+        count = varints.item(cursor)
         if count > max_elements:
             raise CorruptStreamError(f"element count {count} exceeds limit {max_elements}")
-        first = cursor + 1
-        cum = prefix[first & 1][first >> 1 :][: count + 1]
-        target = cum[0] + count
-        t = int(cum.searchsorted(target))
-        if t == cum.size or cum[t] != target:
-            raise CorruptStreamError("run lengths do not sum to the element count")
         slots.append(cursor)
-        cursor = first + 2 * t
-        if cursor > varints.size:
+        cursor += 1
+        cum = prefix[cursor & 1]
+        start = cursor >> 1
+        target = cum.item(start) + count
+        end = int(cum.searchsorted(target))
+        if end < start:  # a zero count can find an equal entry before its start
+            end = start
+        if end - start > count or end == cum.size or cum.item(end) != target:
+            raise CorruptStreamError("run lengths do not sum to the element count")
+        cursor += 2 * (end - start)
+        if cursor > size:
             raise CorruptStreamError("truncated token stream")
-        counts.append(count)
-        lasts.append(cursor - 1)
-        bounds.append(bounds[-1] + t)
+    slots.append(cursor)
+    slots = np.array(slots)
     del cums, prefix, cum, sums
-    # The inverse of _encode_channels' np.insert of the count slots, written
+    counts = varints[slots[:-1]]
+    # Channel c holds the slots after its count up to the next count slot.
+    lasts = slots[1:] - 1
+    bounds = np.zeros(dims + 1, dtype=np.int64)
+    np.cumsum((lasts - slots[:-1]) >> 1, out=bounds[1:])
+    # The inverse of _encode_channels' placement of the count slots, written
     # back into varints: a new array would pin the freed parse temporaries.
     keep = np.ones(cursor, dtype=bool)
-    keep[slots] = False
+    keep[slots[:-1]] = False
     varints[: cursor - dims] = varints[:cursor][keep]
     pairs = varints[: cursor - dims].reshape(-1, 2)
     if not pairs[:, 0].all():
@@ -320,31 +346,74 @@ def encode_attributes(cloud: AnchorCloud, codes=None):
     return payloads, bits
 
 
+def _group_fault(name, pairs, counts, nbytes, size: int, anchor_count: int):
+    """The first count, trailing-byte or int32 fault of a parsed group of size bytes, or None."""
+    short = np.flatnonzero(counts != anchor_count)
+    if short.size:
+        c = short[0]
+        return f"{name} channel {c} decodes {counts[c]} elements, expected {anchor_count}"
+    if nbytes.sum() != size:
+        return f"trailing bytes after {name} channels"
+    # A value fits int32 exactly when its zigzag code is below 2**32.
+    if pairs.size and pairs[:, 1].max() >= 1 << 32:
+        return f"{name} values overflow int32"
+    return None
+
+
+def _parse_joined(payloads, layout: AttributeLayout, anchor_count: int):
+    """parse_groups' tuples from one _parse_channels call over the joined payloads, or None.
+
+    None unless every group passes its checks in the joined parse. Each
+    group's channels then end exactly at its payload's end, so every varint
+    lies inside its own payload and each group's tokens, bounds and byte
+    lengths are those its own parse would find.
+    """
+    dims = [layout.dims_for(name) for name in GROUPS]
+    edges = np.cumsum([0, *dims]).tolist()
+    try:
+        joined = _parse_channels(b"".join(payloads[name] for name in GROUPS), edges[-1], anchor_count)
+    except CorruptStreamError:
+        return None
+    pairs, bounds, counts, nbytes = joined
+    groups = []
+    for name, a, b in zip(GROUPS, edges[:-1], edges[1:]):
+        group = pairs[bounds[a] : bounds[b]], counts[a:b], nbytes[a:b]
+        if _group_fault(name, *group, len(payloads[name]), anchor_count):
+            return None
+        groups.append((name, group[0], bounds[a : b + 1] - bounds[a], group[2]))
+    return groups
+
+
 def parse_groups(payloads, layout: AttributeLayout, anchor_count: int):
     """Yield (name, pairs, bounds, nbytes) per group, in order, once all its checks pass:
-    _parse_channels' tokens, each value an int32, and each channel's payload bytes."""
+    _parse_channels' tokens, each value an int32, and each channel's payload bytes.
+
+    Payloads that together fit one pool task are parsed joined, in one call
+    (_parse_joined); if that parse fails any check, the groups are parsed one
+    at a time, as larger payloads always are, so the first fault is the same
+    either way.
+    """
     if anchor_count < 0 or anchor_count > MAX_ELEMENTS:
         raise CorruptStreamError(f"implausible anchor count {anchor_count}")
+    if sum(len(payloads[name]) for name in GROUPS) <= _pool._TASK_ELEMENTS:
+        groups = _parse_joined(payloads, layout, anchor_count)
+        if groups is not None:
+            yield from groups
+            return
     for name in GROUPS:
-        dims, payload = layout.dims_for(name), payloads[name]
-        pairs, bounds, counts, nbytes = _parse_channels(payload, dims, anchor_count)
-        for c, count in enumerate(counts):
-            if count != anchor_count:
-                raise CorruptStreamError(
-                    f"{name} channel {c} decodes {count} elements, expected {anchor_count}"
-                )
-        if nbytes.sum() != len(payload):
-            raise CorruptStreamError(f"trailing bytes after {name} channels")
-        # A value fits int32 exactly when its zigzag code is below 2**32.
-        if pairs.size and pairs[:, 1].max() >= 1 << 32:
-            raise CorruptStreamError(f"{name} values overflow int32")
+        payload = payloads[name]
+        pairs, bounds, counts, nbytes = _parse_channels(payload, layout.dims_for(name), anchor_count)
+        fault = _group_fault(name, pairs, counts, nbytes, len(payload), anchor_count)
+        if fault:
+            raise CorruptStreamError(fault)
         yield name, pairs, bounds, nbytes
 
 
 def decode_groups(payloads, layout: AttributeLayout, anchor_count: int):
     """Decode the attribute groups and measure their channel streams.
 
-    Each group is parsed, then expanded before the next is parsed. Returns
+    Each group is expanded before the next is parsed; payloads small enough
+    to be parsed joined are parsed before the first is expanded. Returns
     (matrices, channel_bytes), dicts keyed by group name: the (anchor_count,
     dims) int32 matrix, column-major so each channel is contiguous, and each
     channel's serialized byte length as found in the payload.

@@ -65,6 +65,46 @@ class TestMorton:
         assert np.array_equal(morton_decode(morton_encode(pts)), pts)
 
 
+    @pytest.mark.parametrize(
+        "points",
+        [
+            # One chunk per axis: the grid's max is 2**11 - 1.
+            [[0, 0, 0], [1, 2, 3], [2**11 - 1, 0, 0], [0, 2**11 - 1, 0], [0, 0, 2**11 - 1],
+             [2**11 - 1] * 3],
+            # Two chunks per axis: the grid's max reaches 2**11 on one axis only.
+            [[0, 0, 0], [2**11 - 1, 5, 9], [2**11, 0, 0], [0, 7, 2**11 - 1]],
+            # Two chunks: every edge on every axis, up to 2**21 - 1.
+            [[v if a == axis else 0 for a in range(3)]
+             for axis in range(3) for v in (2**11 - 1, 2**11, 2**21 - 1)]
+            + [[2**11] * 3, [2**21 - 1] * 3, [2**21 - 1, 2**11, 2**11 - 1]],
+        ],
+        ids=["one-chunk", "two-chunks-one-axis", "two-chunks-edges"],
+    )
+    def test_table_chunk_edges_vs_oracle(self, points):
+        from voxgs import AnchorCloud, AttributeLayout, QuantParams, validate
+
+        pts = np.array(points, dtype=np.int64)
+        expected = [morton_oracle(x, y, z) for x, y, z in points]
+        codes = morton_encode(pts)
+        assert codes.tolist() == expected
+        assert [int(morton_encode(p)) for p in pts] == expected
+        assert np.array_equal(morton_decode(codes), pts)
+        n = len(points)
+        cloud = AnchorCloud(
+            positions=pts,
+            offsets=np.zeros((n, 3), dtype=np.int32),
+            features=np.zeros((n, 1), dtype=np.int32),
+            scalings=np.zeros((n, 6), dtype=np.int32),
+            layout=AttributeLayout(k=1, m=1),
+            quant=QuantParams(q_p=int(pts.max()) + 1),
+            bbox=np.array([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]]),
+        )
+        report = validate(cloud)
+        assert report.valid
+        assert report.morton_codes.tolist() == expected
+        assert np.array_equal(morton_decode(report.morton_codes), pts)
+
+
 class TestIntegerInput:
     """The entry points take only integers, through the cloud types' narrowing gate."""
 
@@ -201,7 +241,83 @@ def pointer_octree_node_count(points, depth):
     return count_internal(root, 0) if points else 0
 
 
+def octree_decode_reference(occupancy: bytes, depth: int, point_count: int):
+    """octree_decode by plain per-level scans, faults reported in the codec's order.
+
+    Each level is checked for truncation, then for a zero byte, then for
+    holding more nodes than point_count; after the last level, for trailing
+    bytes and for the leaf count. Returns the (x, y, z) leaves in order.
+    """
+    if point_count == 0:
+        if occupancy:
+            raise CorruptStreamError("trailing bytes in empty octree payload")
+        return []
+    nodes, pos = [0], 0
+    for _ in range(depth):
+        if pos + len(nodes) > len(occupancy):
+            raise CorruptStreamError("truncated octree payload")
+        level = occupancy[pos : pos + len(nodes)]
+        pos += len(nodes)
+        if 0 in level:
+            raise CorruptStreamError("zero occupancy byte at internal node")
+        nodes = [(node << 3) | j for node, byte in zip(nodes, level) for j in range(8) if byte >> j & 1]
+        if len(nodes) > point_count:
+            raise CorruptStreamError(
+                f"octree level holds {len(nodes)} nodes, header says {point_count}"
+            )
+    if pos != len(occupancy):
+        raise CorruptStreamError("trailing bytes in octree payload")
+    if len(nodes) != point_count:
+        raise CorruptStreamError(f"decoded {len(nodes)} voxels, header says {point_count}")
+    return [
+        tuple(sum((code >> (3 * b + axis) & 1) << b for b in range(depth)) for axis in range(3))
+        for code in nodes
+    ]
+
+
+def _octree_outcome(decode, occupancy, depth, point_count):
+    try:
+        leaves = decode(occupancy, depth, point_count)
+    except CorruptStreamError as exc:
+        return str(exc)
+    return [tuple(p) for p in np.asarray(leaves).reshape(-1, 3).tolist()]
+
+
+def _mutants(data: bytes):
+    """Each byte set to 0 and to 0xFF, dropped and duplicated; the data cut before it and extended."""
+    for i, byte in enumerate(data):
+        for value in (0x00, 0xFF):
+            if value != byte:
+                yield data[:i] + bytes([value]) + data[i + 1 :]
+        yield data[:i] + data[i + 1 :]
+        yield data[:i] + data[i : i + 1] + data[i:]
+        yield data[:i]
+    for tail in (b"\x00", b"\x01", b"\xff"):
+        yield data + tail
+
+
 class TestOctree:
+    def test_single_faults_match_the_per_level_reference(self):
+        rng = np.random.default_rng(32)
+
+        def codec(occupancy, depth, point_count):
+            return octree_decode(OctreePayload(depth, occupancy, point_count))
+
+        seen = set()
+        for depth in range(1, 6):
+            for n in (1, 2, 5, 12):
+                pts = np.unique(rng.integers(0, 1 << depth, size=(n, 3), dtype=np.int64), axis=0)
+                data = octree_encode(pts, depth).occupancy_bytes
+                for count in (len(pts) - 1, len(pts), len(pts) + 1):
+                    for mutated in [data, *_mutants(data)]:
+                        expected = _octree_outcome(octree_decode_reference, mutated, depth, count)
+                        assert _octree_outcome(codec, mutated, depth, count) == expected
+                        seen.add(expected if isinstance(expected, str) else None)
+        # Successes and every fault of the payload.
+        for kind in (None, "truncated", "zero occupancy", "octree level holds", "trailing bytes in",
+                     "decoded"):
+            assert any(kind == m if kind is None else m and kind in m for m in seen), kind
+
     def test_level_beyond_point_count_rejected_with_small_peak(self):
         # Seven full levels of 0xFF for one point: each level is 8x the last.
         payload = OctreePayload(depth=21, occupancy_bytes=b"\xff" * 299_593, point_count=1)

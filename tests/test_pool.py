@@ -18,6 +18,7 @@ import pytest
 import voxgs
 import voxgs._pool as pool
 import voxgs.container as container
+import voxgs.rlc as rlc
 from voxgs import (
     AttributeLayout,
     FloatAnchorCloud,
@@ -595,6 +596,61 @@ def test_analyze_refuses_what_decode_refuses_and_never_expands(monkeypatch):
     # Successes and faults of the header, the geometry and each group.
     kinds = (None, "bad magic", "section", "occupancy", "offsets", "features", "scalings")
     for kind in (*kinds, "scalings values overflow int32"):
+        assert any(kind == m if kind is None else m and kind in m for m in seen), kind
+
+
+def test_joined_parse_matches_the_per_group_parse(monkeypatch):
+    """Payloads within the merge budget parse joined; any failed check reparses per group.
+
+    Budget 0 parses any nonempty region per group, and 2**30 tries the
+    joined parse first. Each mutant is a single fault of the whole attribute
+    region, split back at the original section ends, so a dropped or
+    repeated byte moves bytes across a section end.
+    """
+    rng = np.random.default_rng(79)
+    cloud = random_cloud(rng, n=16, depth=4, layout=AttributeLayout(k=1, m=2))
+    n = cloud.anchor_count
+    geometry, offsets, features, scalings, mlp = _sections(encode_container(cloud))
+    ends = (len(offsets), len(offsets) + len(features))
+    parsed_dims = []
+    parse = rlc._parse_channels
+
+    def spy(data, dims, max_elements):
+        if dims != 1:  # the geometry section's one channel
+            parsed_dims.append(dims)
+        return parse(data, dims, max_elements)
+
+    monkeypatch.setattr(rlc, "_parse_channels", spy)
+
+    def outcomes(region, budget):
+        monkeypatch.setattr(pool, "_TASK_ELEMENTS", budget)
+        payloads = dict(zip(GROUPS, (region[: ends[0]], region[ends[0] : ends[1]], region[ends[1] :])))
+        blob = assemble_container(n, 16, 1, 2, [geometry, *payloads.values()], mlp=mlp)
+        try:
+            report = _fields(analyze_container(blob))
+        except CorruptStreamError as exc:
+            report = str(exc)
+        return _outcome(decode_groups, payloads, cloud.layout, n), report, payloads
+
+    region = offsets + features + scalings
+    # The offsets section ends on a continuation byte: joined, its last
+    # varint would run on into the features.
+    open_end = offsets[:-1] + bytes([offsets[-1] | 0x80]) + features + scalings
+    seen = set()
+    for mutated in [region, open_end, *_single_faults(region)]:
+        parsed_dims.clear()
+        per_group = outcomes(mutated, 0)
+        assert (11 in parsed_dims) == (not mutated)  # only an empty region fits budget 0
+        parsed_dims.clear()
+        joined = outcomes(mutated, 1 << 30)
+        assert parsed_dims[0] == 11
+        assert joined[:2] == per_group[:2]
+        assert per_group[0] == _outcome(decode_groups_reference, per_group[2], cloud.layout, n)
+        if isinstance(per_group[0], list):  # decode_groups and analyze each parse once
+            assert parsed_dims == [11, 11]
+        seen.add(per_group[0] if isinstance(per_group[0], str) else None)
+    assert outcomes(open_end, 1 << 30)[0] == "truncated varint at end of stream"
+    for kind in (None, "offsets", "features", "scalings", "trailing bytes after", "missing channel"):
         assert any(kind == m if kind is None else m and kind in m for m in seen), kind
 
 
