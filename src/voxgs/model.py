@@ -158,6 +158,7 @@ for _bit in range(_CHUNK):
     _SPREAD[0] |= ((_values >> _U(_bit)) & _U(1)) << _U(3 * _bit)
 _SPREAD[1:] = _SPREAD[0] << np.array([[1], [2]], dtype=np.uint64)
 _SPREAD_HIGH = _SPREAD << _U(3 * _CHUNK)
+del _bit, _values
 
 # Decoding gathers each axis's bits back with shift/mask passes.
 _SPREAD_MASKS = (

@@ -29,15 +29,10 @@ read from the arrays, with one binary search per channel for its end, and
 it builds the channels' counts, bounds and ends as arrays once it is done.
 It checks every fault, in order: varints, the walk, a run of zero, a
 channel count, trailing bytes, and last an int32 overflow (a zigzag code of
-2**32 or more). When the three payloads together fit one pool task
-(_pool._TASK_ELEMENTS bytes), they are parsed joined, as one buffer of all
-the channels in one call, so a small container pays the per-call costs
-once, not once per group. The joined parse stands only if, in it, every
-count is the anchor count, no value overflows int32 and each group's last
-channel ends exactly at its payload's end, which keeps every varint inside
-its own payload; on any failure the groups are parsed one by one, as larger
-payloads always are, so the first fault and its message are those of the
-per-group parse. decode_groups then repeats each
+2**32 or more). Payloads that together fit one pool task
+(_pool._TASK_ELEMENTS bytes) are parsed joined, in one call, so a small
+container pays the per-call costs once, not once per group; see
+_parse_joined for when that parse stands. decode_groups then repeats each
 span of channels into its columns, unchecked, on the calling thread:
 np.repeat holds the interpreter lock, and the spans bound the temporaries.
 analyze_container runs only the parse. A single channel (rlc_encode,
@@ -363,10 +358,12 @@ def _group_fault(name, pairs, counts, nbytes, size: int, anchor_count: int):
 def _parse_joined(payloads, layout: AttributeLayout, anchor_count: int):
     """parse_groups' tuples from one _parse_channels call over the joined payloads, or None.
 
-    None unless every group passes its checks in the joined parse. Each
-    group's channels then end exactly at its payload's end, so every varint
-    lies inside its own payload and each group's tokens, bounds and byte
-    lengths are those its own parse would find.
+    None unless every group passes its checks in the joined parse: every
+    count is the anchor count, no value overflows int32, and its channels'
+    bytes sum to its payload's length. Each group's last channel then ends
+    exactly at its payload's end, so every varint lies inside its own
+    payload and each group's tokens, bounds and byte lengths are those its
+    own parse would find.
     """
     dims = [layout.dims_for(name) for name in GROUPS]
     edges = np.cumsum([0, *dims]).tolist()
