@@ -11,7 +11,6 @@ from pathlib import Path
 import click
 import numpy as np
 
-from . import _pool
 from . import container as cont
 from .errors import AnchorFileError, CorrelationUndefinedError, CorruptStreamError, VoxgsError
 from .model import GROUPS, AttributeLayout, QuantParams
@@ -238,8 +237,7 @@ def sweep(axis, values, input_path, synthetic, seed, qp, qo, qa, qs, preset):
         _fail(f"{input_path} holds no anchors; there is nothing to sweep")
 
     try:
-        ranges = [(i, i + 1) for i in range(len(points))]
-        results = _pool.run(lambda i, _: _sweep_point(fcloud, points[i][1]), ranges)
+        results = [_sweep_point(fcloud, quant) for _, quant in points]
     except (VoxgsError, ValueError) as exc:
         _fail(exc)
 

@@ -40,7 +40,6 @@ from fractions import Fraction
 
 import numpy as np
 
-from ._pool import run, spans
 from .errors import AnchorFileError, CorruptStreamError
 from .geometry import OctreePayload, morton_encode, octree_decode, octree_encode
 from .model import (
@@ -53,6 +52,7 @@ from .model import (
     _as_2d,
     _extent_overflow,
     as_fraction,
+    spans,
     validate,
 )
 from .quantize import dequantize_features, quantize_features, voxelize
@@ -89,8 +89,7 @@ def _quantize_rows(values: np.ndarray, kept: np.ndarray, scale):
     """
     factor = float(as_fraction(scale, "q_f"))
     out = np.empty((kept.size, values.shape[1]), dtype=np.int32, order="F")
-
-    def quantize(a, b):
+    for a, b in spans(kept.size, values.shape[1]):
         rows = values[kept[a:b]]
         rows *= factor
         rounded = np.abs(rows)
@@ -102,8 +101,6 @@ def _quantize_rows(values: np.ndarray, kept: np.ndarray, scale):
         if not (fits or (rounded.min() >= -(2.0**31) and rounded.max() < 2.0**31)):
             raise ValueError("rows must round to int32 values")
         out[a:b] = rounded
-
-    run(quantize, spans(kept.size, values.shape[1]))
     return out
 
 
@@ -327,11 +324,10 @@ def write_anchor_file(path, fcloud: FloatAnchorCloud) -> None:
     formatted "%.17g" (exact for float64; nan, inf and -inf as such),
     separated by single spaces and ended by "\\n": the bytes
     np.savetxt(fh, rows, fmt="%.17g") writes. The rows go out in spans of
-    _pool.spans rows. Within a span each column's values are grouped by
+    model.spans rows. Within a span each column's values are grouped by
     their bit pattern, so -0.0 stays apart from 0.0, and each distinct
     value is formatted once; the span's strings are gathered back into row
-    order and written with one join. Formatting holds the interpreter lock,
-    so the spans run on the calling thread.
+    order and written with one join.
     """
     layout = fcloud.layout
     groups = (fcloud.positions, fcloud.offsets, fcloud.features, fcloud.scalings)

@@ -19,6 +19,22 @@ MAX_LAYOUT_DIM = 1 << 16
 
 GROUPS = ("offsets", "features", "scalings")
 
+# Elements per span: 2 MB of int64. A stage that works span by span holds one
+# span's temporaries at a time, not the whole stage's, and a span is large
+# enough that its few numpy calls cost little next to its work. parse_groups
+# parses the three groups joined when their payloads together fit one span.
+_SPAN_ELEMENTS = 1 << 18
+
+
+def spans(units: int, unit_size: int):
+    """Contiguous (start, stop) ranges tiling range(units).
+
+    Each holds as many units of unit_size elements as fit in _SPAN_ELEMENTS,
+    and at least one.
+    """
+    step = max(1, _SPAN_ELEMENTS // max(1, unit_size))
+    return [(start, min(start + step, units)) for start in range(0, units, step)]
+
 
 def as_fraction(value, name="scale") -> Fraction:
     """value as a quantization scale a container can store; else ValueError naming it.

@@ -8,13 +8,13 @@ distinct values. There is no further entropy-coding stage (bypass mode).
 
 An attribute group is its channels' streams concatenated, channel-major.
 Channel streams are independent, so a group is coded in spans of channels
-on the pool (see _pool): each span is flattened channel-major with a run
-break forced at every channel start, tokenized at once and packed with one
-varint_pack call, and the spans' bytes are joined in order. varint_pack's
-work grows with the multi-byte varints (values of 128 or more), not with the
-varints: every value's low byte is its first byte, and only the multi-byte
-varints set its continuation bit and have their later bytes built and
-inserted after it.
+(model.spans): each span is flattened channel-major with a run break forced
+at every channel start, tokenized at once and packed with one varint_pack
+call, and the spans' bytes are joined in order. varint_pack's work grows
+with the multi-byte varints (values of 128 or more), not with the varints:
+every value's low byte is its first byte, and only the multi-byte varints
+set its continuation bit and have their later bytes built and inserted
+after it.
 
 The parse (parse_groups) unpacks a group once with _varint_unpack, whose work
 grows with the continuation bytes (>= 0x80), not with the varints: the bytes
@@ -29,15 +29,15 @@ read from the arrays, with one binary search per channel for its end, and
 it builds the channels' counts, bounds and ends as arrays once it is done.
 It checks every fault, in order: varints, the walk, a run of zero, a
 channel count, trailing bytes, and last an int32 overflow (a zigzag code of
-2**32 or more). Payloads that together fit one pool task
-(_pool._TASK_ELEMENTS bytes) are parsed joined, in one call, so a small
+2**32 or more). Payloads that together fit one span
+(model._SPAN_ELEMENTS bytes) are parsed joined, in one call, so a small
 container pays the per-call costs once, not once per group; see
 _parse_joined for when that parse stands. decode_groups then repeats each
-span of channels into its columns, unchecked, on the calling thread:
-np.repeat holds the interpreter lock, and the spans bound the temporaries.
-analyze_container runs only the parse. A single channel (rlc_encode,
-rlc_decode) is the one-channel case of the same kernels, and varint_pack and
-_varint_unpack hold the only LEB128 writer and decoding rule of the codec.
+span of channels into its columns, unchecked; the spans bound the
+temporaries. analyze_container runs only the parse. A single channel
+(rlc_encode, rlc_decode) is the one-channel case of the same kernels, and
+varint_pack and _varint_unpack hold the only LEB128 writer and decoding
+rule of the codec.
 
 The parse also reports each channel's serialized byte length. Varint i ends
 at byte i plus the number of continuation bytes owned by varints 0..i, so a
@@ -53,11 +53,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _pool
-from ._pool import run, spans
+from . import model
 from .errors import CorruptStreamError
 from .geometry import sort_by_morton
-from .model import GROUPS, AnchorCloud, AttributeLayout, _as_2d
+from .model import GROUPS, AnchorCloud, AttributeLayout, _as_2d, spans
 
 # Decoders refuse element counts above this to keep allocations bounded on
 # hostile input; legitimate streams in this codec stay far below it.
@@ -335,7 +334,7 @@ def encode_attributes(cloud: AnchorCloud, codes=None):
     bits = {}
     for name in GROUPS:
         mat = cloud.group(name)
-        parts = run(lambda a, b: _encode_channels(mat[:, a:b]), spans(mat.shape[1], mat.shape[0]))
+        parts = (_encode_channels(mat[:, a:b]) for a, b in spans(mat.shape[1], mat.shape[0]))
         payloads[name] = b"".join(parts)
         bits[name] = 8 * len(payloads[name])
     return payloads, bits
@@ -385,14 +384,14 @@ def parse_groups(payloads, layout: AttributeLayout, anchor_count: int):
     """Yield (name, pairs, bounds, nbytes) per group, in order, once all its checks pass:
     _parse_channels' tokens, each value an int32, and each channel's payload bytes.
 
-    Payloads that together fit one pool task are parsed joined, in one call
+    Payloads that together fit one span are parsed joined, in one call
     (_parse_joined); if that parse fails any check, the groups are parsed one
     at a time, as larger payloads always are, so the first fault is the same
     either way.
     """
     if anchor_count < 0 or anchor_count > MAX_ELEMENTS:
         raise CorruptStreamError(f"implausible anchor count {anchor_count}")
-    if sum(len(payloads[name]) for name in GROUPS) <= _pool._TASK_ELEMENTS:
+    if sum(len(payloads[name]) for name in GROUPS) <= model._SPAN_ELEMENTS:
         groups = _parse_joined(payloads, layout, anchor_count)
         if groups is not None:
             yield from groups

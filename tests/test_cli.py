@@ -13,7 +13,7 @@ from voxgs import (
     generate_synthetic,
     write_anchor_file,
 )
-from voxgs import _pool
+from voxgs import model
 from voxgs import container as cont
 from voxgs.cli import MAX_SWEEP_ANCHORS, main
 from voxgs.rlc import MAX_ELEMENTS
@@ -452,16 +452,14 @@ class TestSweep:
         assert result.output == f"error: {path} holds no anchors; there is nothing to sweep\n"
         assert "Warning" not in result.output
 
-    def test_csv_same_for_any_worker_count_and_task_size(self, runner, monkeypatch):
+    def test_csv_same_for_any_span_size(self, runner, monkeypatch):
         args = ["sweep", "--axis", "q_p", "--values", "128,256,512", "--synthetic", "300"]
         expected = runner.invoke(main, args)
         assert expected.exit_code == 0, expected.output
-        monkeypatch.setattr(_pool, "_TASK_ELEMENTS", 64)
-        for workers in (1, 2):
-            monkeypatch.setattr(_pool, "WORKERS", workers)
-            result = runner.invoke(main, args)
-            assert result.exit_code == 0, result.output
-            assert result.output == expected.output
+        monkeypatch.setattr(model, "_SPAN_ELEMENTS", 64)
+        result = runner.invoke(main, args)
+        assert result.exit_code == 0, result.output
+        assert result.output == expected.output
 
 
 class TestOutputPath:

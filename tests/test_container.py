@@ -10,7 +10,7 @@ import warnings
 import numpy as np
 import pytest
 
-from voxgs import _pool
+from voxgs import model
 from voxgs import container as cont
 from voxgs import (
     AnchorCloud,
@@ -104,15 +104,15 @@ class TestQuantizeCloud:
         again = quantize_cloud(deq, quant)
         assert again.equals(cloud)
 
-    @pytest.mark.parametrize("task_elements", [None, 64], ids=["one-span", "many-spans"])
-    def test_groups_are_column_major(self, monkeypatch, task_elements):
+    @pytest.mark.parametrize("span_elements", [None, 64], ids=["one-span", "many-spans"])
+    def test_groups_are_column_major(self, monkeypatch, span_elements):
         # The container's channel-major order, as decoded groups have it, so
         # encoding reads each channel without a transposing copy.
-        if task_elements:
-            monkeypatch.setattr(_pool, "_TASK_ELEMENTS", task_elements)
+        if span_elements:
+            monkeypatch.setattr(model, "_SPAN_ELEMENTS", span_elements)
         fcloud = _float_cloud(seed=3, anchors=300, k=3, m=8)
         cloud = quantize_cloud(fcloud, QuantParams(q_p=256))
-        assert (len(_pool.spans(cloud.anchor_count, 8)) > 1) == bool(task_elements)
+        assert (len(model.spans(cloud.anchor_count, 8)) > 1) == bool(span_elements)
         decoded = decode_container(encode_container(cloud))
         for name in GROUPS:
             assert cloud.group(name).flags.f_contiguous, name
@@ -532,12 +532,12 @@ class TestAnchorFileBytes:
         assert data.endswith(ref.getvalue())
         assert data[: len(data) - len(ref.getvalue())].count(b"\n") == 5 + bool(fcloud.mlp_blob)
 
-    # 23 columns: a task size of 23 elements makes spans of 1 row, 64 of 2 rows.
-    @pytest.mark.parametrize("task_elements", [23, 64, None])
+    # 23 columns: a span budget of 23 elements makes spans of 1 row, 64 of 2 rows.
+    @pytest.mark.parametrize("span_elements", [23, 64, None])
     @pytest.mark.parametrize("n", [0, 1, 2, 3, 50])
-    def test_edge_columns(self, tmp_path, monkeypatch, task_elements, n):
-        if task_elements is not None:
-            monkeypatch.setattr(_pool, "_TASK_ELEMENTS", task_elements)
+    def test_edge_columns(self, tmp_path, monkeypatch, span_elements, n):
+        if span_elements is not None:
+            monkeypatch.setattr(model, "_SPAN_ELEMENTS", span_elements)
         rows = _edge_rows(n)
         od, m = self.LAYOUT.offset_dims, self.LAYOUT.m
         fcloud = FloatAnchorCloud(
@@ -552,7 +552,7 @@ class TestAnchorFileBytes:
         self._assert_savetxt_bytes(tmp_path / "edge.txt", fcloud)
 
     def test_synthetic_and_decoded_files(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(_pool, "_TASK_ELEMENTS", 1000)  # 11 rows a span at k=10, m=50
+        monkeypatch.setattr(model, "_SPAN_ELEMENTS", 1000)  # 11 rows a span at k=10, m=50
         scene = _float_cloud(seed=2, anchors=300, k=10, m=50)
         decoded = dequantize_cloud(decode_container(encode_container(
             quantize_cloud(scene, QuantParams(q_p=64, q_o=4, q_a=8, q_s=16))
@@ -666,9 +666,9 @@ def _batched_edge_cloud(name):
 
 
 class TestAnalyzeContainer:
-    @pytest.mark.parametrize("task_elements", [1, 1 << 40], ids=["span-per-channel", "one-span"])
+    @pytest.mark.parametrize("span_elements", [1, 1 << 40], ids=["span-per-channel", "one-span"])
     @pytest.mark.parametrize("name", ["edge", "one-anchor", "k1-m1", "k10-m50"])
-    def test_batched_pass_matches_per_channel_calls(self, monkeypatch, name, task_elements):
+    def test_batched_pass_matches_per_channel_calls(self, monkeypatch, name, span_elements):
         # Channel bits to 1e-12 of estimate_bits(fit_laplace(col), col); group bits
         # bit for bit those of the group's merged value counts.
         blob = encode_container(_batched_edge_cloud(name))
@@ -682,7 +682,7 @@ class TestAnalyzeContainer:
         scatters = []
         pearson = cont.pearson
         monkeypatch.setattr(cont, "pearson", lambda xs, ys: scatters.append(xs) or pearson(xs, ys))
-        monkeypatch.setattr(_pool, "_TASK_ELEMENTS", task_elements)
+        monkeypatch.setattr(model, "_SPAN_ELEMENTS", span_elements)
         report = analyze_container(blob)
         assert [report.estimated_bits[key] for key in "OAS"] == groups
         assert list(scatters[0]) == pytest.approx(channels, rel=1e-12, abs=0)

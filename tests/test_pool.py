@@ -1,12 +1,8 @@
-"""Bounded codec tasks: the same bytes, clouds, reports and errors for any
-worker count and any task size, no thread for small inputs, and a pool that
-survives a fork."""
+"""Spans bound each codec stage: the same bytes, clouds, reports and errors
+for any span size, and no thread started by the codec."""
 
 import hashlib
-import multiprocessing
-import os
-import subprocess
-import sys
+import threading
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict
@@ -14,10 +10,11 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 
 import voxgs
-import voxgs._pool as pool
 import voxgs.container as container
+import voxgs.model as model
 import voxgs.rlc as rlc
 from voxgs import (
     AttributeLayout,
@@ -30,6 +27,7 @@ from voxgs import (
     generate_synthetic,
     quantize_cloud,
 )
+from voxgs.cli import main
 from voxgs.container import quantize_cloud_kept
 from voxgs.errors import CorruptStreamError
 from voxgs.model import GROUPS
@@ -43,13 +41,11 @@ LAYOUT = AttributeLayout(k=10, m=50)
 QUANT = QuantParams(q_p=1024)
 
 
-def _tiny_tasks(monkeypatch, workers):
-    """Split every stage into 64-element tasks, run inline or on the pool."""
-    monkeypatch.setattr(pool, "_TASK_ELEMENTS", 64)
-    monkeypatch.setattr(pool, "WORKERS", workers)
+def _tiny_spans(monkeypatch):
+    """Split every stage into spans of 64 elements."""
+    monkeypatch.setattr(model, "_SPAN_ELEMENTS", 64)
 
 
-WORKER_COUNTS = pytest.mark.parametrize("workers", [1, 2], ids=["inline", "pooled"])
 FINITE = "ste_round requires finite input"
 INT64_RANGE = "ste_round input exceeds the int64 range"
 
@@ -64,86 +60,33 @@ class TestHelper:
         "units,unit_size", [(0, 5), (1, 0), (1, 1000), (10, 64), (10, 7), (130, 1), (3, 65)]
     )
     def test_spans_tile_the_units(self, monkeypatch, units, unit_size):
-        monkeypatch.setattr(pool, "_TASK_ELEMENTS", 64)
-        ranges = pool.spans(units, unit_size)
+        monkeypatch.setattr(model, "_SPAN_ELEMENTS", 64)
+        ranges = model.spans(units, unit_size)
         assert [u for start, stop in ranges for u in range(start, stop)] == list(range(units))
         for start, stop in ranges:
             assert stop - start == 1 or (stop - start) * unit_size <= 64
 
-    def test_run_keeps_span_order_and_raises_the_first_error(self, monkeypatch):
-        monkeypatch.setattr(pool, "WORKERS", 2)
-        ranges = pool.spans(40, pool._TASK_ELEMENTS // 4)
-        assert pool.run(lambda a, b: (a, b), ranges) == ranges
-
-        def fail_from_12(a, b):
-            if a >= 12:
-                raise ValueError(f"span {a}")
-            return a
-
-        with pytest.raises(ValueError, match="^span 12$"):
-            pool.run(fail_from_12, ranges)
-
-    def test_run_inside_a_task_runs_inline(self):
-        # Every worker runs a task that calls run with more ranges than there
-        # are workers. Were the inner ranges queued on the same pool, each
-        # worker would wait on work that no free worker can take.
-        code = (
-            "import threading, voxgs._pool as p; p.WORKERS = 2; "
-            "inner = lambda a, _: p.run(lambda c, _: (a, c, threading.current_thread().name), "
-            "[(c, c + 1) for c in range(5)]); "
-            "out = p.run(inner, [(a, a + 1) for a in range(4)]); "
-            "print([[t[:2] for t in r] for r in out]); "
-            "print(all(len({t[2] for t in r}) == 1 and r[0][2].startswith('voxgs') for r in out))"
-        )
-        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(voxgs.__file__)))
-        try:
-            out = subprocess.run(
-                [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
-            )
-        except subprocess.TimeoutExpired:
-            pytest.fail("a run called inside a pool task did not return")
-        assert out.returncode == 0, out.stderr
-        expected = [[(a, c) for c in range(5)] for a in range(4)]
-        assert out.stdout == f"{expected}\nTrue\n"
-
-    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity")
-    def test_workers_follow_the_affinity_mask(self):
-        cpu = min(os.sched_getaffinity(0))
-        code = (
-            f"import os; os.sched_setaffinity(0, {{{cpu}}}); "
-            "import voxgs._pool as p; print(p.WORKERS)"
-        )
-        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(voxgs.__file__)))
-        out = subprocess.run(
-            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
-        )
-        assert out.returncode == 0, out.stderr
-        assert out.stdout == "1\n"
-
 
 class TestSameResults:
-    @WORKER_COUNTS
     @pytest.mark.parametrize("golden", GOLDEN)
-    def test_golden_digests(self, monkeypatch, workers, golden):
+    def test_golden_digests(self, monkeypatch, golden):
         seed, anchors, k, m, q_p, mlp_bytes, size, digest = golden
-        _tiny_tasks(monkeypatch, workers)
+        _tiny_spans(monkeypatch)
         blob = _golden(seed, anchors, k, m, q_p, mlp_bytes)[1]
         assert len(blob) == size
         assert hashlib.sha256(blob).hexdigest() == digest
 
-    @WORKER_COUNTS
     @pytest.mark.parametrize("golden,pinned", zip(GOLDEN, REPORTS))
-    def test_golden_reports(self, monkeypatch, workers, golden, pinned):
+    def test_golden_reports(self, monkeypatch, golden, pinned):
         blob = _golden(*golden[:6])[1]
         expected = _fields(analyze_container(blob))
-        _tiny_tasks(monkeypatch, workers)
+        _tiny_spans(monkeypatch)
         report = analyze_container(blob)
         assert _fields(report) == expected
         assert report.to_kv() == pinned["kv"]
         assert report.to_text() == pinned["text"]
 
-    @WORKER_COUNTS
-    def test_round_trips(self, monkeypatch, workers):
+    def test_round_trips(self, monkeypatch):
         rng = np.random.default_rng(71)
         clouds = [random_cloud(rng) for _ in range(12)] + [random_cloud(rng, n=0)]
         fcloud = generate_synthetic(72, 600, LAYOUT, run_bias=0.5)
@@ -152,7 +95,7 @@ class TestSameResults:
         big = encode_container(quantized)
         reports = [_fields(analyze_container(b)) for b in blobs + [big]]
 
-        _tiny_tasks(monkeypatch, workers)
+        _tiny_spans(monkeypatch)
         assert quantize_cloud(fcloud, QUANT).equals(quantized)
         assert encode_container(quantized) == big
         assert decode_container(big).equals(quantized)
@@ -161,7 +104,6 @@ class TestSameResults:
             assert decode_container(blob).equals(voxgs.sort_by_morton(cloud))
         assert [_fields(analyze_container(b)) for b in blobs + [big]] == reports
 
-    @WORKER_COUNTS
     @pytest.mark.parametrize(
         "faults,message",
         [
@@ -174,7 +116,7 @@ class TestSameResults:
             ({"features": (0, 1e300), "scalings": (150, 2.0**31)}, INT64_RANGE),
         ],
     )
-    def test_quantize_raises_what_whole_groups_raise(self, monkeypatch, workers, faults, message):
+    def test_quantize_raises_what_whole_groups_raise(self, monkeypatch, faults, message):
         fcloud = generate_synthetic(73, 200, AttributeLayout(k=2, m=3), run_bias=0.5)
         kept = quantize_cloud_kept(fcloud, QUANT)[1]
         groups = {name: getattr(fcloud, name).copy() for name in GROUPS}
@@ -183,7 +125,7 @@ class TestSameResults:
         bad = FloatAnchorCloud(
             positions=fcloud.positions, **groups, layout=fcloud.layout, bbox=fcloud.bbox
         )
-        _tiny_tasks(monkeypatch, workers)
+        _tiny_spans(monkeypatch)
         with pytest.raises(ValueError, match=f"^{message}$"):
             quantize_cloud(bad, QUANT)
 
@@ -219,10 +161,9 @@ def _quantize_reference(values, kept, scale):
 
 
 class TestQuantizeRows:
-    @WORKER_COUNTS
     @pytest.mark.parametrize("case", QUANTIZE_CASES)
     @pytest.mark.parametrize("scale", [1, Fraction(3, 2)], ids=["scale-1", "scale-3/2"])
-    def test_matches_quantize_features_as_int32(self, monkeypatch, workers, case, scale):
+    def test_matches_quantize_features_as_int32(self, monkeypatch, case, scale):
         rng = np.random.default_rng(sorted(QUANTIZE_CASES).index(case))
         values = rng.normal(0.0, 40.0, size=(300, 7))
         kept = np.sort(rng.choice(values.shape[0], size=200, replace=False))
@@ -230,7 +171,7 @@ class TestQuantizeRows:
         rows = rng.choice(kept, size=cases.size, replace=False)
         values[rows, rng.integers(0, values.shape[1], size=cases.size)] = cases
         want = _quantize_reference(values, kept, scale)
-        _tiny_tasks(monkeypatch, workers)
+        _tiny_spans(monkeypatch)
         if want is None:
             with pytest.raises(ValueError):
                 container._quantize_rows(values, kept, scale)
@@ -239,8 +180,7 @@ class TestQuantizeRows:
             assert got.dtype == np.int32 and got.flags.f_contiguous
             assert np.array_equal(got, want)
 
-    @WORKER_COUNTS
-    def test_int32_min_quantizes_without_the_whole_group_path(self, monkeypatch, workers):
+    def test_int32_min_quantizes_without_the_whole_group_path(self, monkeypatch):
         fcloud = generate_synthetic(74, 200, AttributeLayout(k=2, m=3), run_bias=0.5)
         kept = quantize_cloud_kept(fcloud, QUANT)[1]
         features = fcloud.features.copy()
@@ -253,7 +193,7 @@ class TestQuantizeRows:
             layout=fcloud.layout,
             bbox=fcloud.bbox,
         )
-        _tiny_tasks(monkeypatch, workers)
+        _tiny_spans(monkeypatch)
         monkeypatch.setattr(container, "quantize_features", None)  # the whole-group path
         cloud = quantize_cloud(good, QUANT)
         assert cloud.features[150, 0] == -(2**31)
@@ -355,13 +295,12 @@ def _single_faults(data: bytes):
 
 
 class TestSameErrors:
-    @WORKER_COUNTS
-    def test_single_faults_match_the_reference(self, monkeypatch, workers):
+    def test_single_faults_match_the_reference(self, monkeypatch):
         rng = np.random.default_rng(74)
         cloud = random_cloud(rng, n=24, depth=4, layout=AttributeLayout(k=1, m=2))
         n = cloud.anchor_count
         payloads = encode_attributes(cloud)[0]
-        _tiny_tasks(monkeypatch, workers)
+        _tiny_spans(monkeypatch)
         seen = set()
         for name in GROUPS:
             for mutated in _single_faults(payloads[name]):
@@ -383,7 +322,6 @@ class TestSameErrors:
         ):
             assert any(kind in message for message in seen), kind
 
-    @WORKER_COUNTS
     @pytest.mark.parametrize(
         "channels,message",
         [
@@ -397,9 +335,7 @@ class TestSameErrors:
              "scalings values overflow int32"),
         ],
     )
-    def test_two_faults_report_the_first_in_codec_order(
-        self, monkeypatch, workers, channels, message
-    ):
+    def test_two_faults_report_the_first_in_codec_order(self, monkeypatch, channels, message):
         rng = np.random.default_rng(75)
         cloud = random_cloud(rng, n=8, depth=3, layout=AttributeLayout(k=1, m=1))
         while cloud.anchor_count != 8:
@@ -411,7 +347,7 @@ class TestSameErrors:
             slots += [count] + [v for pair in zigzag for v in pair]
         payloads["scalings"] = varint_pack(np.array(slots, dtype=np.uint64))
         assert _outcome(decode_groups_reference, payloads, cloud.layout, 8) == message
-        _tiny_tasks(monkeypatch, workers)
+        _tiny_spans(monkeypatch)
         assert _outcome(decode_groups, payloads, cloud.layout, 8) == message
         if "elements" in message:
             payloads["scalings"] += rlc_encode([0]).serialized
@@ -490,16 +426,15 @@ def _parsed_bytes(payloads, layout, n):
 class TestMultiByteVarints:
     """Decode and analyze against the reference on streams of 2- to 11-byte varints."""
 
-    @WORKER_COUNTS
     @pytest.mark.parametrize("label", list(_multibyte_cases(140)))
-    def test_cases_match_the_reference(self, monkeypatch, workers, label):
+    def test_cases_match_the_reference(self, monkeypatch, label):
         cloud = _multibyte_cloud()
         n = cloud.anchor_count
         blob = encode_container(cloud)
         payloads = encode_attributes(cloud)[0]
         payloads["scalings"] = _multibyte_cases(n)[label]
         expected = _outcome(decode_groups_reference, payloads, cloud.layout, n)
-        _tiny_tasks(monkeypatch, workers)
+        _tiny_spans(monkeypatch)
         assert _outcome(decode_groups, payloads, cloud.layout, n) == expected
         parsed = _parsed_bytes(payloads, cloud.layout, n)
         if isinstance(expected, str):
@@ -537,13 +472,12 @@ class TestMultiByteVarints:
             "bytes after the last channel": "trailing bytes after scalings channels",
         }
 
-    @WORKER_COUNTS
-    def test_single_faults_match_the_reference(self, monkeypatch, workers):
+    def test_single_faults_match_the_reference(self, monkeypatch):
         cloud = _multibyte_cloud()
         n = cloud.anchor_count
         payloads = encode_attributes(cloud)[0]
         stream = b"".join(_quirky_channels(n))
-        _tiny_tasks(monkeypatch, workers)
+        _tiny_spans(monkeypatch)
         for mutated in _single_faults(stream):
             faulty = {**payloads, "scalings": mutated}
             expected = _outcome(decode_groups_reference, faulty, cloud.layout, n)
@@ -558,7 +492,7 @@ def test_analyze_refuses_what_decode_refuses_and_never_expands(monkeypatch):
     rng = np.random.default_rng(78)
     cloud = random_cloud(rng, n=24, depth=4, layout=AttributeLayout(k=1, m=2))
     blob = encode_container(cloud)
-    _tiny_tasks(monkeypatch, 1)
+    _tiny_spans(monkeypatch)
     # decode_groups is the parse plus the expansion; analyze runs only the parse.
     expansions = []
     expand = container.decode_groups
@@ -623,7 +557,7 @@ def test_joined_parse_matches_the_per_group_parse(monkeypatch):
     monkeypatch.setattr(rlc, "_parse_channels", spy)
 
     def outcomes(region, budget):
-        monkeypatch.setattr(pool, "_TASK_ELEMENTS", budget)
+        monkeypatch.setattr(model, "_SPAN_ELEMENTS", budget)
         payloads = dict(zip(GROUPS, (region[: ends[0]], region[ends[0] : ends[1]], region[ends[1] :])))
         blob = assemble_container(n, 16, 1, 2, [geometry, *payloads.values()], mlp=mlp)
         try:
@@ -654,52 +588,34 @@ def test_joined_parse_matches_the_per_group_parse(monkeypatch):
         assert any(kind == m if kind is None else m and kind in m for m in seen), kind
 
 
-def _encode_and_decode(fcloud, expected):
-    blob = encode_container(quantize_cloud(fcloud, QUANT))
-    assert blob == expected
-    assert decode_container(blob).equals(quantize_cloud(fcloud, QUANT))
+def test_the_codec_starts_no_thread(monkeypatch):
+    threads = threading.active_count()
+    started, submitted = [], []
+    start, submit = threading.Thread.start, ThreadPoolExecutor.submit
 
+    def start_spy(self):
+        started.append(self)
+        return start(self)
 
-@pytest.mark.skipif(not hasattr(os, "fork"), reason="no fork")
-def test_forked_child_codes_after_a_pooled_encode(monkeypatch):
-    # A forked child inherits the executor object but none of its threads.
-    _tiny_tasks(monkeypatch, 2)
-    fcloud = generate_synthetic(76, 300, LAYOUT, run_bias=0.5)
-    blob = encode_container(quantize_cloud(fcloud, QUANT))
-    assert pool._executor is not None
-    fork = multiprocessing.get_context("fork")
-    child = fork.Process(target=_encode_and_decode, args=(fcloud, blob))
-    child.start()
-    child.join(timeout=60)
-    if child.is_alive():
-        child.kill()
-        child.join()
-        pytest.fail("forked child hung on the inherited pool")
-    assert child.exitcode == 0
-
-
-@pytest.mark.parametrize("anchors,pooled", [(1000, False), (20_000, True)])
-def test_small_inputs_stay_on_the_calling_thread(monkeypatch, anchors, pooled):
-    # 1000 anchors of k=10, m=50 is the largest cloud of the clouds-small benchmark.
-    # Decode and analyze never submit: decode's expansion holds the interpreter
-    # lock, and analyze's per-channel fits measured slower on the pool.
-    monkeypatch.setattr(pool, "WORKERS", 2)
-    submitted = []
-    submit = ThreadPoolExecutor.submit
-
-    def spy(self, fn, /, *args, **kwargs):
+    def submit_spy(self, fn, /, *args, **kwargs):
         submitted.append(fn)
         return submit(self, fn, *args, **kwargs)
 
-    monkeypatch.setattr(ThreadPoolExecutor, "submit", spy)
-    fcloud = generate_synthetic(77, anchors, LAYOUT, run_bias=0.5)
-    blob = encode_container(quantize_cloud(fcloud, QUANT))
-    assert bool(submitted) == pooled
-    submitted.clear()
-    decode_container(blob)
-    assert submitted == []
+    monkeypatch.setattr(threading.Thread, "start", start_spy)
+    monkeypatch.setattr(ThreadPoolExecutor, "submit", submit_spy)
+    fcloud = generate_synthetic(77, 20_000, LAYOUT, run_bias=0.5)
+    cloud = quantize_cloud(fcloud, QUANT)
+    # Quantize, encode and decode each run several spans of this cloud.
+    assert len(model.spans(cloud.anchor_count, LAYOUT.m)) > 1
+    blob = encode_container(cloud)
+    assert decode_container(blob).equals(cloud)
     analyze_container(blob)
-    assert submitted == []
+    args = ["sweep", "--axis", "q_p", "--values", "128,256,512", "--synthetic", "300"]
+    result = CliRunner().invoke(main, args)
+    assert result.exit_code == 0, result.output
+    assert len(result.output.splitlines()) == 4
+    assert threading.active_count() == threads
+    assert started == [] and submitted == []
 
 
 def test_decode_peak_memory_below_the_whole_group_expansion():
