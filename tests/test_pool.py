@@ -41,9 +41,15 @@ LAYOUT = AttributeLayout(k=10, m=50)
 QUANT = QuantParams(q_p=1024)
 
 
-def _tiny_spans(monkeypatch):
-    """Split every stage into spans of 64 elements."""
-    monkeypatch.setattr(model, "_SPAN_ELEMENTS", 64)
+def _small_spans(monkeypatch, span_elements):
+    """Split every stage into spans of span_elements elements."""
+    monkeypatch.setattr(model, "_SPAN_ELEMENTS", span_elements)
+
+
+# Budget 1 puts one unit in each span and parses every group on its own;
+# budget 64 puts several rows or channels of a small group in a span and
+# parses small payloads joined.
+SPAN_SIZES = pytest.mark.parametrize("span_elements", [1, 64], ids=["span-1", "span-64"])
 
 
 FINITE = "ste_round requires finite input"
@@ -57,7 +63,8 @@ def _fields(report):
 
 class TestHelper:
     @pytest.mark.parametrize(
-        "units,unit_size", [(0, 5), (1, 0), (1, 1000), (10, 64), (10, 7), (130, 1), (3, 65)]
+        "units,unit_size",
+        [(0, 5), (1, 0), (1, 1000), (10, 64), (10, 7), (64, 1), (65, 1), (130, 1), (3, 65)],
     )
     def test_spans_tile_the_units(self, monkeypatch, units, unit_size):
         monkeypatch.setattr(model, "_SPAN_ELEMENTS", 64)
@@ -68,25 +75,28 @@ class TestHelper:
 
 
 class TestSameResults:
+    @SPAN_SIZES
     @pytest.mark.parametrize("golden", GOLDEN)
-    def test_golden_digests(self, monkeypatch, golden):
+    def test_golden_digests(self, monkeypatch, span_elements, golden):
         seed, anchors, k, m, q_p, mlp_bytes, size, digest = golden
-        _tiny_spans(monkeypatch)
+        _small_spans(monkeypatch, span_elements)
         blob = _golden(seed, anchors, k, m, q_p, mlp_bytes)[1]
         assert len(blob) == size
         assert hashlib.sha256(blob).hexdigest() == digest
 
+    @SPAN_SIZES
     @pytest.mark.parametrize("golden,pinned", zip(GOLDEN, REPORTS))
-    def test_golden_reports(self, monkeypatch, golden, pinned):
+    def test_golden_reports(self, monkeypatch, span_elements, golden, pinned):
         blob = _golden(*golden[:6])[1]
         expected = _fields(analyze_container(blob))
-        _tiny_spans(monkeypatch)
+        _small_spans(monkeypatch, span_elements)
         report = analyze_container(blob)
         assert _fields(report) == expected
         assert report.to_kv() == pinned["kv"]
         assert report.to_text() == pinned["text"]
 
-    def test_round_trips(self, monkeypatch):
+    @SPAN_SIZES
+    def test_round_trips(self, monkeypatch, span_elements):
         rng = np.random.default_rng(71)
         clouds = [random_cloud(rng) for _ in range(12)] + [random_cloud(rng, n=0)]
         fcloud = generate_synthetic(72, 600, LAYOUT, run_bias=0.5)
@@ -95,7 +105,7 @@ class TestSameResults:
         big = encode_container(quantized)
         reports = [_fields(analyze_container(b)) for b in blobs + [big]]
 
-        _tiny_spans(monkeypatch)
+        _small_spans(monkeypatch, span_elements)
         assert quantize_cloud(fcloud, QUANT).equals(quantized)
         assert encode_container(quantized) == big
         assert decode_container(big).equals(quantized)
@@ -104,6 +114,7 @@ class TestSameResults:
             assert decode_container(blob).equals(voxgs.sort_by_morton(cloud))
         assert [_fields(analyze_container(b)) for b in blobs + [big]] == reports
 
+    @SPAN_SIZES
     @pytest.mark.parametrize(
         "faults,message",
         [
@@ -116,7 +127,9 @@ class TestSameResults:
             ({"features": (0, 1e300), "scalings": (150, 2.0**31)}, INT64_RANGE),
         ],
     )
-    def test_quantize_raises_what_whole_groups_raise(self, monkeypatch, faults, message):
+    def test_quantize_raises_what_whole_groups_raise(
+        self, monkeypatch, span_elements, faults, message
+    ):
         fcloud = generate_synthetic(73, 200, AttributeLayout(k=2, m=3), run_bias=0.5)
         kept = quantize_cloud_kept(fcloud, QUANT)[1]
         groups = {name: getattr(fcloud, name).copy() for name in GROUPS}
@@ -125,7 +138,7 @@ class TestSameResults:
         bad = FloatAnchorCloud(
             positions=fcloud.positions, **groups, layout=fcloud.layout, bbox=fcloud.bbox
         )
-        _tiny_spans(monkeypatch)
+        _small_spans(monkeypatch, span_elements)
         with pytest.raises(ValueError, match=f"^{message}$"):
             quantize_cloud(bad, QUANT)
 
@@ -161,9 +174,10 @@ def _quantize_reference(values, kept, scale):
 
 
 class TestQuantizeRows:
+    @SPAN_SIZES
     @pytest.mark.parametrize("case", QUANTIZE_CASES)
     @pytest.mark.parametrize("scale", [1, Fraction(3, 2)], ids=["scale-1", "scale-3/2"])
-    def test_matches_quantize_features_as_int32(self, monkeypatch, case, scale):
+    def test_matches_quantize_features_as_int32(self, monkeypatch, span_elements, case, scale):
         rng = np.random.default_rng(sorted(QUANTIZE_CASES).index(case))
         values = rng.normal(0.0, 40.0, size=(300, 7))
         kept = np.sort(rng.choice(values.shape[0], size=200, replace=False))
@@ -171,7 +185,7 @@ class TestQuantizeRows:
         rows = rng.choice(kept, size=cases.size, replace=False)
         values[rows, rng.integers(0, values.shape[1], size=cases.size)] = cases
         want = _quantize_reference(values, kept, scale)
-        _tiny_spans(monkeypatch)
+        _small_spans(monkeypatch, span_elements)
         if want is None:
             with pytest.raises(ValueError):
                 container._quantize_rows(values, kept, scale)
@@ -180,7 +194,8 @@ class TestQuantizeRows:
             assert got.dtype == np.int32 and got.flags.f_contiguous
             assert np.array_equal(got, want)
 
-    def test_int32_min_quantizes_without_the_whole_group_path(self, monkeypatch):
+    @SPAN_SIZES
+    def test_int32_min_quantizes_without_the_whole_group_path(self, monkeypatch, span_elements):
         fcloud = generate_synthetic(74, 200, AttributeLayout(k=2, m=3), run_bias=0.5)
         kept = quantize_cloud_kept(fcloud, QUANT)[1]
         features = fcloud.features.copy()
@@ -193,7 +208,7 @@ class TestQuantizeRows:
             layout=fcloud.layout,
             bbox=fcloud.bbox,
         )
-        _tiny_spans(monkeypatch)
+        _small_spans(monkeypatch, span_elements)
         monkeypatch.setattr(container, "quantize_features", None)  # the whole-group path
         cloud = quantize_cloud(good, QUANT)
         assert cloud.features[150, 0] == -(2**31)
@@ -295,12 +310,13 @@ def _single_faults(data: bytes):
 
 
 class TestSameErrors:
-    def test_single_faults_match_the_reference(self, monkeypatch):
+    @SPAN_SIZES
+    def test_single_faults_match_the_reference(self, monkeypatch, span_elements):
         rng = np.random.default_rng(74)
         cloud = random_cloud(rng, n=24, depth=4, layout=AttributeLayout(k=1, m=2))
         n = cloud.anchor_count
         payloads = encode_attributes(cloud)[0]
-        _tiny_spans(monkeypatch)
+        _small_spans(monkeypatch, span_elements)
         seen = set()
         for name in GROUPS:
             for mutated in _single_faults(payloads[name]):
@@ -322,6 +338,7 @@ class TestSameErrors:
         ):
             assert any(kind in message for message in seen), kind
 
+    @SPAN_SIZES
     @pytest.mark.parametrize(
         "channels,message",
         [
@@ -335,7 +352,9 @@ class TestSameErrors:
              "scalings values overflow int32"),
         ],
     )
-    def test_two_faults_report_the_first_in_codec_order(self, monkeypatch, channels, message):
+    def test_two_faults_report_the_first_in_codec_order(
+        self, monkeypatch, span_elements, channels, message
+    ):
         rng = np.random.default_rng(75)
         cloud = random_cloud(rng, n=8, depth=3, layout=AttributeLayout(k=1, m=1))
         while cloud.anchor_count != 8:
@@ -347,7 +366,7 @@ class TestSameErrors:
             slots += [count] + [v for pair in zigzag for v in pair]
         payloads["scalings"] = varint_pack(np.array(slots, dtype=np.uint64))
         assert _outcome(decode_groups_reference, payloads, cloud.layout, 8) == message
-        _tiny_spans(monkeypatch)
+        _small_spans(monkeypatch, span_elements)
         assert _outcome(decode_groups, payloads, cloud.layout, 8) == message
         if "elements" in message:
             payloads["scalings"] += rlc_encode([0]).serialized
@@ -426,15 +445,16 @@ def _parsed_bytes(payloads, layout, n):
 class TestMultiByteVarints:
     """Decode and analyze against the reference on streams of 2- to 11-byte varints."""
 
+    @SPAN_SIZES
     @pytest.mark.parametrize("label", list(_multibyte_cases(140)))
-    def test_cases_match_the_reference(self, monkeypatch, label):
+    def test_cases_match_the_reference(self, monkeypatch, span_elements, label):
         cloud = _multibyte_cloud()
         n = cloud.anchor_count
         blob = encode_container(cloud)
         payloads = encode_attributes(cloud)[0]
         payloads["scalings"] = _multibyte_cases(n)[label]
         expected = _outcome(decode_groups_reference, payloads, cloud.layout, n)
-        _tiny_spans(monkeypatch)
+        _small_spans(monkeypatch, span_elements)
         assert _outcome(decode_groups, payloads, cloud.layout, n) == expected
         parsed = _parsed_bytes(payloads, cloud.layout, n)
         if isinstance(expected, str):
@@ -472,12 +492,13 @@ class TestMultiByteVarints:
             "bytes after the last channel": "trailing bytes after scalings channels",
         }
 
-    def test_single_faults_match_the_reference(self, monkeypatch):
+    @SPAN_SIZES
+    def test_single_faults_match_the_reference(self, monkeypatch, span_elements):
         cloud = _multibyte_cloud()
         n = cloud.anchor_count
         payloads = encode_attributes(cloud)[0]
         stream = b"".join(_quirky_channels(n))
-        _tiny_spans(monkeypatch)
+        _small_spans(monkeypatch, span_elements)
         for mutated in _single_faults(stream):
             faulty = {**payloads, "scalings": mutated}
             expected = _outcome(decode_groups_reference, faulty, cloud.layout, n)
@@ -488,11 +509,12 @@ class TestMultiByteVarints:
             )
 
 
-def test_analyze_refuses_what_decode_refuses_and_never_expands(monkeypatch):
+@SPAN_SIZES
+def test_analyze_refuses_what_decode_refuses_and_never_expands(monkeypatch, span_elements):
     rng = np.random.default_rng(78)
     cloud = random_cloud(rng, n=24, depth=4, layout=AttributeLayout(k=1, m=2))
     blob = encode_container(cloud)
-    _tiny_spans(monkeypatch)
+    _small_spans(monkeypatch, span_elements)
     # decode_groups is the parse plus the expansion; analyze runs only the parse.
     expansions = []
     expand = container.decode_groups
@@ -588,7 +610,29 @@ def test_joined_parse_matches_the_per_group_parse(monkeypatch):
         assert any(kind == m if kind is None else m and kind in m for m in seen), kind
 
 
-def test_the_codec_starts_no_thread(monkeypatch):
+def _sweep_rows():
+    args = ["sweep", "--axis", "q_p", "--values", "128,256,512", "--synthetic", "300"]
+    result = CliRunner().invoke(main, args)
+    assert result.exit_code == 0, result.output
+    return len(result.output.splitlines())
+
+
+@pytest.mark.parametrize("stage", ["quantize", "encode", "decode", "analyze", "sweep"])
+def test_the_codec_starts_no_thread(monkeypatch, stage):
+    fcloud = generate_synthetic(77, 20_000, LAYOUT, run_bias=0.5)
+    cloud = quantize_cloud(fcloud, QUANT)
+    # Quantize, encode and decode each run several spans of this cloud.
+    assert len(model.spans(cloud.anchor_count, LAYOUT.m)) > 1
+    blob = encode_container(cloud)
+    report = _fields(analyze_container(blob))
+    run = {
+        "quantize": lambda: quantize_cloud(fcloud, QUANT).equals(cloud),
+        "encode": lambda: encode_container(cloud) == blob,
+        "decode": lambda: decode_container(blob).equals(cloud),
+        "analyze": lambda: _fields(analyze_container(blob)) == report,
+        "sweep": lambda: _sweep_rows() == 4,
+    }[stage]
+
     threads = threading.active_count()
     started, submitted = [], []
     start, submit = threading.Thread.start, ThreadPoolExecutor.submit
@@ -603,17 +647,7 @@ def test_the_codec_starts_no_thread(monkeypatch):
 
     monkeypatch.setattr(threading.Thread, "start", start_spy)
     monkeypatch.setattr(ThreadPoolExecutor, "submit", submit_spy)
-    fcloud = generate_synthetic(77, 20_000, LAYOUT, run_bias=0.5)
-    cloud = quantize_cloud(fcloud, QUANT)
-    # Quantize, encode and decode each run several spans of this cloud.
-    assert len(model.spans(cloud.anchor_count, LAYOUT.m)) > 1
-    blob = encode_container(cloud)
-    assert decode_container(blob).equals(cloud)
-    analyze_container(blob)
-    args = ["sweep", "--axis", "q_p", "--values", "128,256,512", "--synthetic", "300"]
-    result = CliRunner().invoke(main, args)
-    assert result.exit_code == 0, result.output
-    assert len(result.output.splitlines()) == 4
+    assert run()
     assert threading.active_count() == threads
     assert started == [] and submitted == []
 
