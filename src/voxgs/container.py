@@ -297,9 +297,12 @@ def analyze_container(data: bytes):
     actual = _section_bits(sections)
     estimated = dict.fromkeys("OAS", 0.0)
     channel_est, channel_act = [], []
-    for key, (_, pairs, bounds, nbytes) in zip("OAS", parse_groups(sections, layout, anchor_count)):
+    # Not zipped with the keys: zip would hold each group's tokens while the
+    # next group is parsed.
+    for name, pairs, bounds, nbytes in parse_groups(sections, layout, anchor_count):
         if anchor_count == 0:
             continue
+        key = "OAS"[GROUPS.index(name)]
         rows = []
         for a, b in spans(len(bounds) - 1, anchor_count):
             runs, zigzag = pairs[bounds[a] : bounds[b]].T
@@ -310,6 +313,7 @@ def analyze_container(data: bytes):
         _, v, n = _value_counts(v, n, [v.size])
         estimated[key] = estimate_bits(fit_laplace(v, n), v, n)
         channel_act.extend(8 * nbytes)
+        del pairs, runs, zigzag  # so the next group's parse does not hold these tokens
 
     est_total = sum(estimated.values())
     alpha = sum(actual[g] for g in "OAS") / est_total if est_total else float("nan")

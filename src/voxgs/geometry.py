@@ -7,14 +7,18 @@ order, so no extra sort is needed after decoding. The interleave itself,
 morton_encode and morton_decode, lives in model, whose validate keys
 positions by it; this module re-exports it. morton_encode spreads each axis
 by lookups into 2048-entry tables pre-shifted per axis, one 11-bit chunk per
-axis, or two when the largest coordinate is 2**11 or more.
+axis, or two when the largest coordinate is 2**11 or more. morton_decode
+reads a code 12 bits at a time, 4 of each axis, through one 4096-entry
+table, and only up to the largest code's top bit.
 
 The encoder sorts the leaf codes unless they already ascend, then builds
 the levels bottom-up: a new parent (code >> 3) starts wherever neighbouring
 parents differ, its occupancy byte ORs its children's slot bits, and those
 parents form the next level up. The decoder locates the first zero byte
-once, before the levels, and builds each level's codes in int64 from the
-unpacked bits of that level's bytes.
+once, then checks the levels top-down, each level's size being the popcount
+of the bytes of the level above, so a malformed payload fails before any
+level is built. It then builds the levels in int64 from two 256-entry
+tables: the popcount of each byte and the slot of each of its set bits.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import model
 from .errors import CorruptStreamError
 from .model import AnchorCloud, _as_2d, morton_decode, morton_encode
 
@@ -96,9 +101,21 @@ def octree_encode(positions, depth: int, codes=None) -> OctreePayload:
     return OctreePayload(depth=depth, occupancy_bytes=out, point_count=int(codes.size))
 
 
+# Byte b has _POPCOUNT[b] children, and its r-th has slot _KTH_SLOT[8 * b + r].
+_POPCOUNT = np.array([bin(b).count("1") for b in range(256)], dtype=np.intp)
+_KTH_SLOT = np.array(
+    [[j for j in range(8) if b >> j & 1] + [0] * (8 - bin(b).count("1")) for b in range(256)],
+    dtype=np.uint8,
+).ravel()
+# Child t of a run of bytes, of byte b whose children end at t = k, is its
+# (t - k + _POPCOUNT[b])-th, at _KTH_SLOT index _KTH_BASE[b] - k + t.
+_KTH_BASE = 8 * np.arange(256, dtype=np.intp) + _POPCOUNT
+
+
 def octree_decode(payload: OctreePayload) -> np.ndarray:
     """Reconstruct the voxel set in Morton order; raises on malformed payloads."""
-    buf = np.frombuffer(payload.occupancy_bytes, dtype=np.uint8)
+    data = payload.occupancy_bytes
+    buf = np.frombuffer(data, dtype=np.uint8)
     depth = payload.depth
     if depth < 0 or depth > 21:
         raise CorruptStreamError(f"invalid octree depth {depth}")
@@ -112,28 +129,63 @@ def octree_decode(payload: OctreePayload) -> np.ndarray:
     zero = int(buf.argmin()) if buf.size else 0
     if not buf.size or buf[zero]:
         zero = buf.size
-    nodes = np.zeros(1, dtype=np.int64)
+    view = memoryview(data)
+    sizes = [1]  # nodes per level, the root's first
     pos = 0
     for _level in range(depth):
-        count = nodes.size
+        count = sizes[-1]
         if pos + count > buf.size:
             raise CorruptStreamError("truncated octree payload")
         if zero < pos + count:
             raise CorruptStreamError("zero occupancy byte at internal node")
-        # Set bit j of byte i is child j of node i, in breadth-first order.
-        slots = np.flatnonzero(np.unpackbits(buf[pos : pos + count], bitorder="little"))
-        pos += count
-        nodes = (nodes[slots >> 3] << 3) | (slots & 7)
+        # The next level holds one node per set bit of this level's bytes.
         # Levels never shrink, so a level above point_count cannot end there;
-        # failing here keeps each level's allocation within 8 * point_count.
-        if nodes.size > payload.point_count:
+        # failing here, before any level is built, keeps each within it.
+        children = int.from_bytes(view[pos : pos + count], "little").bit_count()
+        pos += count
+        if children > payload.point_count:
             raise CorruptStreamError(
-                f"octree level holds {nodes.size} nodes, header says {payload.point_count}"
+                f"octree level holds {children} nodes, header says {payload.point_count}"
             )
+        sizes.append(children)
     if pos != buf.size:
         raise CorruptStreamError("trailing bytes in octree payload")
-    if nodes.size != payload.point_count:
+    if sizes[-1] != payload.point_count:
         raise CorruptStreamError(
-            f"decoded {nodes.size} voxels, header says {payload.point_count}"
+            f"decoded {sizes[-1]} voxels, header says {payload.point_count}"
         )
-    return morton_decode(nodes.view(np.uint64))
+    return morton_decode(_leaf_codes(buf, sizes).view(np.uint64))
+
+
+def _leaf_codes(buf: np.ndarray, sizes: list) -> np.ndarray:
+    """The leaves' Morton codes of a checked payload, sizes[i] nodes at level i.
+
+    Levels are built in groups whose children fit one span
+    (model._SPAN_ELEMENTS). Each group's child slots come from its bytes at
+    once: the r-th child of byte b has slot _KTH_SLOT[8 * b + r]. Each level
+    then repeats its nodes' codes, shifted up 3 bits, once per child and adds
+    the slots.
+    """
+    nodes = np.zeros(1, dtype=np.int64)
+    pos = level = 0
+    while level < len(sizes) - 1:
+        stop, children = level + 1, sizes[level + 1]
+        while stop < len(sizes) - 1 and children + sizes[stop + 1] <= model._SPAN_ELEMENTS:
+            stop += 1
+            children += sizes[stop]
+        end = pos + sum(sizes[level:stop])
+        counts = _POPCOUNT.take(buf[pos:end])
+        index = _KTH_BASE.take(buf[pos:end])
+        index -= np.cumsum(counts)
+        index = np.repeat(index, counts)
+        index += np.arange(children)
+        slots = _KTH_SLOT.take(index)
+        first = done = 0
+        for count in sizes[level:stop]:
+            nodes <<= 3
+            nodes = np.repeat(nodes, counts[first : first + count])
+            nodes |= slots[done : done + nodes.size]
+            first += count
+            done += nodes.size
+        pos, level = end, stop
+    return nodes

@@ -176,22 +176,15 @@ _SPREAD[1:] = _SPREAD[0] << np.array([[1], [2]], dtype=np.uint64)
 _SPREAD_HIGH = _SPREAD << _U(3 * _CHUNK)
 del _bit, _values
 
-# Decoding gathers each axis's bits back with shift/mask passes.
-_SPREAD_MASKS = (
-    _U(0x1F00000000FFFF),
-    _U(0x1F0000FF0000FF),
-    _U(0x100F00F00F00F00F),
-    _U(0x10C30C30C30C30C3),
-    _U(0x1249249249249249),
-)
-_SPREAD_SHIFTS = (_U(32), _U(16), _U(8), _U(4), _U(2))
-
-
-def _compact(v: np.ndarray) -> np.ndarray:
-    v = v.astype(np.uint64) & _SPREAD_MASKS[-1]
-    for shift, mask in zip(reversed(_SPREAD_SHIFTS), reversed((_U(0x1FFFFF),) + _SPREAD_MASKS[:-1])):
-        v = (v | (v >> shift)) & mask
-    return v
+# Decoding gathers 12 code bits at a time, 4 of each axis, by one lookup:
+# _GATHER[v] holds axis a's 4 bits of v in bits 21a to 21a + 3 of the 63-bit
+# (x, y, z) packing, and chunk j moves up 4j bits within each field.
+_GATHER = np.zeros(1 << 12, dtype=np.int64)
+_values = np.arange(1 << 12, dtype=np.int64)
+for _bit in range(12):
+    _GATHER |= ((_values >> _bit) & 1) << (21 * (_bit % 3) + _bit // 3)
+_AXIS = (1 << 21) - 1
+del _bit, _values
 
 
 def morton_encode(xyz) -> np.ndarray:
@@ -213,13 +206,25 @@ def morton_encode(xyz) -> np.ndarray:
 
 
 def morton_decode(codes) -> np.ndarray:
-    """Invert morton_encode; returns (n, 3) or (3,) int64 coordinates."""
+    """Invert morton_encode; returns (n, 3) or (3,) int64 coordinates.
+
+    Bit 63 lies outside the grid and is dropped.
+    """
     single = np.ndim(codes) == 0
     arr = _as_2d(codes, np.uint64, 1, "codes", flat=True)[:, 0]
+    packed = np.zeros(arr.size, dtype=np.int64)
+    # Only the chunks below the largest code's top bit hold set bits.
+    for shift in range(0, min(int(arr.max(initial=0)).bit_length(), 63), 12):
+        chunk = (arr >> _U(shift)).view(np.int64)
+        chunk &= 0xFFF if shift < 60 else 0x7
+        chunk = _GATHER.take(chunk)
+        chunk <<= shift // 3
+        packed |= chunk
     out = np.empty((arr.size, 3), dtype=np.int64)
-    out[:, 0] = _compact(arr).astype(np.int64)
-    out[:, 1] = _compact(arr >> _U(1)).astype(np.int64)
-    out[:, 2] = _compact(arr >> _U(2)).astype(np.int64)
+    np.bitwise_and(packed, _AXIS, out=out[:, 0])
+    packed >>= 21
+    np.bitwise_and(packed, _AXIS, out=out[:, 1])
+    np.right_shift(packed, 21, out=out[:, 2])
     return out[0] if single else out
 
 

@@ -51,7 +51,7 @@ def quantize_features(f, q_f) -> np.ndarray:
 
 def dequantize_features(fq, q_f) -> np.ndarray:
     """Elementwise fq / q_f, for q_f as quantize_features reads it."""
-    return np.asarray(fq, dtype=np.float64) / float(as_fraction(q_f, "q_f"))
+    return np.divide(fq, float(as_fraction(q_f, "q_f")), dtype=np.float64)
 
 
 def voxelize(points, q_p: int, bbox):

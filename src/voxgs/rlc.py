@@ -23,18 +23,22 @@ longer varint's last septet, and only the longer varints fold in their lower
 septets. Besides the values it returns, for each continuation byte, the
 index of the varint that owns it. The parse then walks the group's channels
 on two prefix sums of the run slots, one per slot parity, and drops their
-count slots, so a group's tokens are one array of (run, zigzag value) pairs
-and a channel's a slice of it. The walk is a Python loop on Python ints
-read from the arrays, with one binary search per channel for its end, and
-it builds the channels' counts, bounds and ends as arrays once it is done.
-It checks every fault, in order: varints, the walk, a run of zero, a
-channel count, trailing bytes, and last an int32 overflow (a zigzag code of
-2**32 or more). Payloads that together fit one span
-(model._SPAN_ELEMENTS bytes) are parsed joined, in one call, so a small
-container pays the per-call costs once, not once per group; see
-_parse_joined for when that parse stands. decode_groups then repeats each
-span of channels into its columns, unchecked; the spans bound the
-temporaries. analyze_container runs only the parse. A single channel
+count slots in place, so a group's tokens are one array of (run, zigzag
+value) pairs, held in the unpacked varints' own memory, and a channel's a
+slice of it. The walk is a Python loop on Python ints read through
+memoryviews, with one bisect per channel for its end; then each channel's
+tokens move down over the count slots before them, one slice assignment per
+channel, and the channels' bounds and ends are built as arrays. It checks
+every fault, in order: varints, the walk, a run of zero, a channel count,
+trailing bytes, and last an int32 overflow (a zigzag code of 2**32 or
+more). Payloads that together fit one span (model._SPAN_ELEMENTS bytes) are
+parsed joined, in one call, so a small container pays the per-call costs
+once, not once per group; see _parse_joined for when that parse stands.
+Larger payloads are parsed one group at a time, and a group's tokens are
+released before the next group's parse. decode_groups then repeats each
+span of channels into its columns, unchecked and in 32 bits, which the
+int32 check allows; the spans bound the temporaries. analyze_container
+runs only the parse. A single channel
 (rlc_encode, rlc_decode) is the one-channel case of the same kernels, and
 varint_pack and _varint_unpack hold the only LEB128 writer and decoding
 rule of the codec.
@@ -49,6 +53,7 @@ counts as the bytes it holds, not as the size its re-encoding would have.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -233,11 +238,13 @@ def _parse_channels(data, dims: int, max_elements: int):
     """Parse dims consecutive channel streams from the start of a byte buffer.
 
     Run sums come from one prefix sum per slot parity over the whole group.
-    The walk reads each channel's count and prefix entries as Python ints,
-    and one binary search over its parity's whole prefix finds the first
-    entry at least the entry at the channel's start plus its count. The
-    runs sum to the count exactly when that entry equals it no more than
-    count tokens on. Counts, token bounds and byte ends are built after it.
+    The walk reads each channel's count and prefix entries as Python ints
+    from memoryviews, and one bisect over its parity's prefix, from the
+    channel's start, finds the first entry at least the entry there plus its
+    count. The runs sum to the count exactly when that entry equals it no
+    more than count tokens on. Each channel's tokens then move down over the
+    count slots before them, one slice assignment per channel, and token
+    bounds and byte ends are built from the slot positions.
     Returns (pairs, bounds, counts, nbytes): pairs holds each token as a
     uint64 (run, zigzag value) row, channel c's at pairs[bounds[c]:bounds[c + 1]],
     and nbytes each channel's byte length, found from the continuation bytes
@@ -251,54 +258,54 @@ def _parse_channels(data, dims: int, max_elements: int):
     size = varints.size
     half = (size + 1) // 2 + 1
     cums = np.empty(size + 2, dtype=np.int64)
-    prefix = (cums[:half], cums[half:])
-    for parity, cum in enumerate(prefix):
+    for parity, cum in enumerate((cums[:half], cums[half:])):
         cum[0] = 0
         sums = cum[1:].view(np.uint64)
         np.minimum(varints[parity::2], max_elements + 1, out=sums)
         np.cumsum(sums, out=sums)
+    prefix = memoryview(cums[:half]), memoryview(cums[half:])
+    values = memoryview(varints)
     slots = []  # each channel's count slot, then the end of the last
+    counts = []
     cursor = 0
     for _ in range(dims):
         if cursor >= size:
             raise CorruptStreamError("missing channel stream")
-        count = varints.item(cursor)
+        count = values[cursor]
         if count > max_elements:
             raise CorruptStreamError(f"element count {count} exceeds limit {max_elements}")
         slots.append(cursor)
+        counts.append(count)
         cursor += 1
         cum = prefix[cursor & 1]
         start = cursor >> 1
-        target = cum.item(start) + count
-        end = int(cum.searchsorted(target))
-        if end < start:  # a zero count can find an equal entry before its start
-            end = start
-        if end - start > count or end == cum.size or cum.item(end) != target:
+        target = cum[start] + count
+        end = bisect_left(cum, target, start)
+        if end - start > count or end == len(cum) or cum[end] != target:
             raise CorruptStreamError("run lengths do not sum to the element count")
         cursor += 2 * (end - start)
         if cursor > size:
             raise CorruptStreamError("truncated token stream")
     slots.append(cursor)
+    del prefix, cum, sums, cums
+    # The inverse of _encode_channels' placement of the count slots, in place:
+    # channel c's tokens move down over the c + 1 count slots before them.
+    for c, (head, stop) in enumerate(zip(slots, slots[1:])):
+        values[head - c : stop - c - 1] = values[head + 1 : stop]
+    del values
+    pairs = varints[: cursor - dims].reshape(-1, 2)
+    if not pairs[:, 0].all():
+        raise CorruptStreamError("run length of zero")
     slots = np.array(slots)
-    del cums, prefix, cum, sums
-    counts = varints[slots[:-1]]
     # Channel c holds the slots after its count up to the next count slot.
     lasts = slots[1:] - 1
     bounds = np.zeros(dims + 1, dtype=np.int64)
     np.cumsum((lasts - slots[:-1]) >> 1, out=bounds[1:])
-    # The inverse of _encode_channels' placement of the count slots, written
-    # back into varints: a new array would pin the freed parse temporaries.
-    keep = np.ones(cursor, dtype=bool)
-    keep[slots[:-1]] = False
-    varints[: cursor - dims] = varints[:cursor][keep]
-    pairs = varints[: cursor - dims].reshape(-1, 2)
-    if not pairs[:, 0].all():
-        raise CorruptStreamError("run length of zero")
     # Varint i ends at byte i plus the continuation bytes owned up to it.
     stops = np.zeros(dims + 1, dtype=np.int64)
     np.add(lasts, owner.searchsorted(lasts, side="right") + 1, out=stops[1:])
     nbytes = stops[1:] - stops[:-1]
-    return pairs, bounds, counts, nbytes
+    return pairs, bounds, np.array(counts, dtype=np.uint64), nbytes
 
 
 def rlc_decode(data, max_elements: int = MAX_ELEMENTS) -> np.ndarray:
@@ -403,6 +410,7 @@ def parse_groups(payloads, layout: AttributeLayout, anchor_count: int):
         if fault:
             raise CorruptStreamError(fault)
         yield name, pairs, bounds, nbytes
+        del pairs  # so the next group's parse does not hold this group's tokens
 
 
 def decode_groups(payloads, layout: AttributeLayout, anchor_count: int):
@@ -419,12 +427,17 @@ def decode_groups(payloads, layout: AttributeLayout, anchor_count: int):
     for name, pairs, bounds, nbytes in parse_groups(payloads, layout, anchor_count):
         out = np.empty((anchor_count, len(bounds) - 1), dtype=np.int32, order="F")
         for a, b in spans(len(bounds) - 1, anchor_count):
-            # Copied, not strided views: that keeps a 10^5-anchor round's peak RSS lower.
-            runs, zigzag = pairs[bounds[a] : bounds[b]].T.copy()
-            values = zigzag_decode(zigzag).astype(np.int32)
-            out.T[a:b] = np.repeat(values, runs.astype(np.int64)).reshape(b - a, anchor_count)
+            # parse_groups checked every zigzag code below 2**32, so each
+            # decodes in 32 bits; the casts copy each column contiguous.
+            tokens = pairs[bounds[a] : bounds[b]]
+            zigzag = tokens[:, 1].astype(np.uint32)
+            values = zigzag >> 1
+            values ^= -(zigzag & 1)
+            runs = tokens[:, 0].astype(np.intp)
+            out.T[a:b] = np.repeat(values.view(np.int32), runs).reshape(b - a, anchor_count)
         matrices[name] = out
         channel_bytes[name] = nbytes
+        del pairs, tokens
     return matrices, channel_bytes
 
 

@@ -139,6 +139,26 @@ class TestContainerRoundTrip:
         assert decoded.anchor_count == 0
         assert decoded.equals(cloud)
 
+    def test_one_anchor_at_depth_zero(self):
+        # q_p=1 is a one-voxel grid: the octree has no levels and no bytes,
+        # so the geometry section is the empty stream's count varint alone.
+        cloud = AnchorCloud(
+            positions=[[0, 0, 0]],
+            offsets=[[1, -2, 3]],
+            features=[[200, 0]],
+            scalings=[[0, 1, 2, 3, 4, 5]],
+            layout=AttributeLayout(k=1, m=2),
+            quant=QuantParams(q_p=1),
+            bbox=BOX,
+        )
+        assert cloud.quant.depth == 0
+        blob = encode_container(cloud)
+        assert decode_container(blob).equals(cloud)
+        report = analyze_container(blob)
+        assert report.actual_bits == {
+            "P": 8, "O": 3 * 24, "A": 32 + 24, "S": 6 * 24, "MLP": 0
+        }
+
     def test_mlp_blob_carried(self):
         cloud = random_cloud(np.random.default_rng(72), n=20, mlp=b"\x00\x01\xfehello")
         assert decode_container(encode_container(cloud)).mlp_blob == b"\x00\x01\xfehello"

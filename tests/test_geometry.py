@@ -54,6 +54,14 @@ class TestMorton:
         assert morton_decode(np.uint64(0)).tolist() == [0, 0, 0]
         assert morton_decode(np.uint64(7)).tolist() == [1, 1, 1]
 
+    def test_bit_63_is_dropped(self):
+        # Codes hold 63 bits; a set bit 63 is outside the grid and ignored.
+        assert morton_decode(np.uint64(1 << 63)).tolist() == [0, 0, 0]
+        codes = np.array([1 << 63 | 7, 1 << 63 | (1 << 63) - 1, 1 << 62], dtype=np.uint64)
+        assert morton_decode(codes).tolist() == [
+            [1, 1, 1], [2**21 - 1] * 3, [0, 0, 2**20]
+        ]
+
     def test_round_trip_random_codes(self):
         rng = np.random.default_rng(12)
         codes = rng.integers(0, 1 << 63, size=100_000, dtype=np.uint64)
@@ -303,16 +311,23 @@ class TestOctree:
         def codec(occupancy, depth, point_count):
             return octree_decode(OctreePayload(depth, occupancy, point_count))
 
+        cases = [
+            (depth, np.unique(rng.integers(0, 1 << depth, size=(n, 3), dtype=np.int64), axis=0))
+            for depth in range(1, 6)
+            for n in (1, 2, 5, 12)
+        ]
+        # A one-voxel grid has no levels; the deepest has the largest
+        # coordinate on every axis.
+        cases.append((0, np.zeros((1, 3), dtype=np.int64)))
+        cases.append((21, np.array([[0, 0, 0], [2**21 - 1, 5, 2**20], [2**21 - 1] * 3])))
         seen = set()
-        for depth in range(1, 6):
-            for n in (1, 2, 5, 12):
-                pts = np.unique(rng.integers(0, 1 << depth, size=(n, 3), dtype=np.int64), axis=0)
-                data = octree_encode(pts, depth).occupancy_bytes
-                for count in (len(pts) - 1, len(pts), len(pts) + 1):
-                    for mutated in [data, *_mutants(data)]:
-                        expected = _octree_outcome(octree_decode_reference, mutated, depth, count)
-                        assert _octree_outcome(codec, mutated, depth, count) == expected
-                        seen.add(expected if isinstance(expected, str) else None)
+        for depth, pts in cases:
+            data = octree_encode(pts, depth).occupancy_bytes
+            for count in (len(pts) - 1, len(pts), len(pts) + 1):
+                for mutated in [data, *_mutants(data)]:
+                    expected = _octree_outcome(octree_decode_reference, mutated, depth, count)
+                    assert _octree_outcome(codec, mutated, depth, count) == expected
+                    seen.add(expected if isinstance(expected, str) else None)
         # Successes and every fault of the payload.
         for kind in (None, "truncated", "zero occupancy", "octree level holds", "trailing bytes in",
                      "decoded"):
