@@ -59,6 +59,7 @@ from .quantize import dequantize_features, quantize_features, voxelize
 from .rate import RateReport, _value_counts, channel_bits, estimate_bits, fit_laplace, pearson
 from .rlc import (
     MAX_ELEMENTS,
+    _decode_tokens,
     decode_groups,
     encode_attributes,
     parse_groups,
@@ -66,7 +67,6 @@ from .rlc import (
     rlc_decode,
     rlc_encode,
     varint_pack,
-    zigzag_decode,
 )
 
 MAGIC = b"VXGS"
@@ -305,15 +305,15 @@ def analyze_container(data: bytes):
         key = "OAS"[GROUPS.index(name)]
         rows = []
         for a, b in spans(len(bounds) - 1, anchor_count):
-            runs, zigzag = pairs[bounds[a] : bounds[b]].T
-            channels, v, n = _value_counts(zigzag_decode(zigzag), runs, np.diff(bounds[a : b + 1]))
+            values, runs = _decode_tokens(pairs[bounds[a] : bounds[b]])
+            channels, v, n = _value_counts(values, runs, np.diff(bounds[a : b + 1]))
             rows.append((channels + a, v, n))
         channels, v, n = map(np.concatenate, zip(*rows))
         channel_est.extend(channel_bits(channels, v, n))
         _, v, n = _value_counts(v, n, [v.size])
         estimated[key] = estimate_bits(fit_laplace(v, n), v, n)
         channel_act.extend(8 * nbytes)
-        del pairs, runs, zigzag  # so the next group's parse does not hold these tokens
+        del pairs, values, runs  # so the next group's parse does not hold these tokens
 
     est_total = sum(estimated.values())
     alpha = sum(actual[g] for g in "OAS") / est_total if est_total else float("nan")

@@ -22,23 +22,31 @@ left once those are removed are every one-byte varint's value and every
 longer varint's last septet, and only the longer varints fold in their lower
 septets. Besides the values it returns, for each continuation byte, the
 index of the varint that owns it. The parse then walks the group's channels
-on two prefix sums of the run slots, one per slot parity, and drops their
-count slots in place, so a group's tokens are one array of (run, zigzag
-value) pairs, held in the unpacked varints' own memory, and a channel's a
-slice of it. The walk is a Python loop on Python ints read through
-memoryviews, with one bisect per channel for its end; then each channel's
-tokens move down over the count slots before them, one slice assignment per
-channel, and the channels' bounds and ends are built as arrays. It checks
+on sums of the run slots in blocks of B slots, per slot parity, and drops
+their count slots in place, so a group's tokens are one array of (run,
+zigzag value) pairs, held in the unpacked varints' own memory, and a
+channel's a slice of it. A block is one slot while a stream holds fewer
+than _BLOCKED_VARINTS (8192) varints per channel, as every joined small
+payload does, and the sums are then two whole prefix sums, the columns of
+one array; longer streams use blocks of _BLOCK_SLOTS (64) slots, summed by
+np.add.reduceat a chunk at a time, so the walk's extra memory is a
+B-th of the varints. The walk is a Python loop on Python ints read through
+memoryviews, with one bisect of the block sums per channel for its end and,
+for longer blocks, a scan of at most B slots in the block where the channel
+starts and in the block where it ends; then each channel's tokens move down
+over the count slots before them, one slice assignment per channel, and the
+channels' bounds and ends are built as arrays. It checks
 every fault, in order: varints, the walk, a run of zero, a channel count,
 trailing bytes, and last an int32 overflow (a zigzag code of 2**32 or
 more). Payloads that together fit one span (model._SPAN_ELEMENTS bytes) are
 parsed joined, in one call, so a small container pays the per-call costs
 once, not once per group; see _parse_joined for when that parse stands.
 Larger payloads are parsed one group at a time, and a group's tokens are
-released before the next group's parse. decode_groups then repeats each
-span of channels into its columns, unchecked and in 32 bits, which the
-int32 check allows; the spans bound the temporaries. analyze_container
-runs only the parse. A single channel
+released before the next group's parse. _decode_tokens turns a span of
+channels' tokens into int32 values and run lengths, unchecked and in 32
+bits, which the int32 check allows: decode_groups repeats them into each
+span's columns, the spans bounding the temporaries, and analyze_container,
+which runs only the parse, counts them. A single channel
 (rlc_encode, rlc_decode) is the one-channel case of the same kernels, and
 varint_pack and _varint_unpack hold the only LEB128 writer and decoding
 rule of the codec.
@@ -55,6 +63,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import accumulate, repeat
 
 import numpy as np
 
@@ -68,6 +77,14 @@ from .model import GROUPS, AnchorCloud, AttributeLayout, _as_2d, spans
 MAX_ELEMENTS = 1 << 26
 
 _MAX_VARINT_BYTES = 10  # enough for any uint64
+
+# The channel walk sums the run slots of a parity in blocks of _BLOCK_SLOTS
+# once a stream holds _BLOCKED_VARINTS varints per channel, and in blocks of
+# one slot below that; longer blocks are clipped and summed _CHUNK_BLOCKS at
+# a time.
+_BLOCK_SLOTS = 64
+_BLOCKED_VARINTS = 1 << 13
+_CHUNK_BLOCKS = 1024
 
 
 def zigzag_encode(values: np.ndarray) -> np.ndarray:
@@ -234,17 +251,91 @@ def rlc_encode(values) -> RlcStream:
     return RlcStream(serialized=_encode_channels(_as_2d(values, np.int64, 1, "values", flat=True)))
 
 
+def _block_prefix(varints, block: int, cap: int):
+    """Per slot parity, 0 and then the running sums of its slots in blocks of block, each
+    slot clipped to cap: entry k is the sum of the parity's first k * block slots.
+
+    Returns two int64 memoryviews; a parity's last block may be short. Blocks
+    of one slot are both whole prefixes, the columns of one array of slot
+    pairs: the varints are clipped into it and summed down its columns in
+    place. Longer blocks are clipped and summed by np.add.reduceat, a chunk
+    of _CHUNK_BLOCKS blocks of a parity at a time, so no temporary grows
+    with the varints.
+    """
+    size = varints.size
+    if block == 1:
+        cums = np.empty(((size + 1) // 2 + 1, 2), dtype=np.int64)
+        cums[0] = 0
+        sums = cums[1:].view(np.uint64)
+        flat = sums.reshape(-1)
+        np.minimum(varints, cap, out=flat[:size])
+        flat[size:] = 0  # an odd last pair's missing odd slot
+        np.cumsum(sums, axis=0, out=sums)
+        return memoryview(cums[:, 0]), memoryview(cums[: size // 2 + 1, 1])
+    chunk = block * _CHUNK_BLOCKS
+    heads = np.arange(0, chunk, block)
+    clipped = np.empty(min(chunk, (size + 1) // 2), dtype=np.uint64)
+    prefix = []
+    for parity in (0, 1):
+        slots = varints[parity::2]
+        cum = np.empty(1 - (-slots.size // block), dtype=np.int64)
+        cum[0] = 0
+        sums = cum[1:].view(np.uint64)
+        for at in range(0, slots.size, chunk):
+            part = np.minimum(slots[at : at + chunk], cap, out=clipped[: slots.size - at])
+            first = at // block
+            np.add.reduceat(part, heads[: sums.size - first], out=sums[first : first + _CHUNK_BLOCKS])
+        np.cumsum(sums, out=sums)
+        prefix.append(memoryview(cum))
+    return prefix
+
+
+def _block_walk(cum, run, start: int, count: int, block: int, cap: int):
+    """(end, exact): the first slot at or after start where the sum of run's slots from
+    start, each clipped to cap, reaches count, or start if none; and whether it equals count.
+
+    run is one parity's slots and cum its _block_prefix. The clipped slots of
+    start's block before start are added to the block's entry, and a bisect
+    finds the first block edge at or past that plus count. The sum reaches
+    it in the block before that edge, which is scanned from start or from
+    its first slot without clipping: only the slot that reaches the target
+    can exceed cap, and that slot overshoots it either way.
+    """
+    edge, lo = divmod(start, block)
+    target = cum[edge] + count
+    if lo:
+        before = run[start - lo : start]
+        part = sum(before)
+        # A sum of at most cap has no slot above it to clip.
+        target += part if part <= cap else sum(map(min, before, repeat(cap)))
+    edge = bisect_left(cum, target, edge)
+    if edge == len(cum):
+        return start, False
+    # An edge at or before start is start's block's own, reached by a count of zero.
+    lo = max(start, (edge - 1) * block)
+    base = target - count if lo == start else cum[edge - 1]
+    sums = list(accumulate(run[lo : edge * block], initial=base))
+    end = bisect_left(sums, target)
+    return lo + end, sums[end] == target
+
+
 def _parse_channels(data, dims: int, max_elements: int):
     """Parse dims consecutive channel streams from the start of a byte buffer.
 
-    Run sums come from one prefix sum per slot parity over the whole group.
-    The walk reads each channel's count and prefix entries as Python ints
-    from memoryviews, and one bisect over its parity's prefix, from the
-    channel's start, finds the first entry at least the entry there plus its
-    count. The runs sum to the count exactly when that entry equals it no
-    more than count tokens on. Each channel's tokens then move down over the
-    count slots before them, one slice assignment per channel, and token
-    bounds and byte ends are built from the slot positions.
+    Run sums come per slot parity, in blocks of B slots (_block_prefix): one
+    slot while the stream holds fewer than _BLOCKED_VARINTS varints per
+    channel, _BLOCK_SLOTS from there on. Every slot is clipped to
+    max_elements + 1 first, so the sums cannot wrap and a clipped run still
+    overshoots any count the caller accepts. The walk reads each channel's
+    count and its parity's block sums as Python ints from memoryviews. With
+    one-slot blocks, one bisect from the channel's start finds the first
+    sum at least the sum there plus its count; with longer blocks,
+    _block_walk bisects the block sums and scans at most B slots in the
+    block where the channel starts and in the block where it ends. The runs
+    sum to the count exactly when that sum equals it no more than count
+    tokens on. Each channel's tokens then move down over the count slots
+    before them, one slice assignment per channel, and token bounds and
+    byte ends are built from the slot positions.
     Returns (pairs, bounds, counts, nbytes): pairs holds each token as a
     uint64 (run, zigzag value) row, channel c's at pairs[bounds[c]:bounds[c + 1]],
     and nbytes each channel's byte length, found from the continuation bytes
@@ -252,21 +343,13 @@ def _parse_channels(data, dims: int, max_elements: int):
     the last channel.
     """
     varints, owner = _varint_unpack(data)
-    # Each parity's slots are clipped and summed in place into its prefix.
-    # Clipping keeps the sums from wrapping; a clipped run still overshoots
-    # any count the caller accepts. Freed before the pairs exist.
     size = varints.size
-    half = (size + 1) // 2 + 1
-    cums = np.empty(size + 2, dtype=np.int64)
-    for parity, cum in enumerate((cums[:half], cums[half:])):
-        cum[0] = 0
-        sums = cum[1:].view(np.uint64)
-        np.minimum(varints[parity::2], max_elements + 1, out=sums)
-        np.cumsum(sums, out=sums)
-    prefix = memoryview(cums[:half]), memoryview(cums[half:])
+    block = _BLOCK_SLOTS if size >= _BLOCKED_VARINTS * dims else 1
+    cap = max_elements + 1
+    prefix = _block_prefix(varints, block, cap)
     values = memoryview(varints)
+    runs = (values[0::2], values[1::2]) if block > 1 else None
     slots = []  # each channel's count slot, then the end of the last
-    counts = []
     cursor = 0
     for _ in range(dims):
         if cursor >= size:
@@ -275,19 +358,24 @@ def _parse_channels(data, dims: int, max_elements: int):
         if count > max_elements:
             raise CorruptStreamError(f"element count {count} exceeds limit {max_elements}")
         slots.append(cursor)
-        counts.append(count)
         cursor += 1
         cum = prefix[cursor & 1]
         start = cursor >> 1
-        target = cum[start] + count
-        end = bisect_left(cum, target, start)
-        if end - start > count or end == len(cum) or cum[end] != target:
+        if block == 1:
+            target = cum[start] + count
+            end = bisect_left(cum, target, start)
+            exact = end < len(cum) and cum[end] == target
+        else:
+            end, exact = _block_walk(cum, runs[cursor & 1], start, count, block, cap)
+        if end - start > count or not exact:
             raise CorruptStreamError("run lengths do not sum to the element count")
         cursor += 2 * (end - start)
         if cursor > size:
             raise CorruptStreamError("truncated token stream")
     slots.append(cursor)
-    del prefix, cum, sums, cums
+    del prefix, cum, runs
+    at = np.array(slots)
+    counts = varints[at[:-1]]  # read before the tokens move over the count slots
     # The inverse of _encode_channels' placement of the count slots, in place:
     # channel c's tokens move down over the c + 1 count slots before them.
     for c, (head, stop) in enumerate(zip(slots, slots[1:])):
@@ -296,16 +384,15 @@ def _parse_channels(data, dims: int, max_elements: int):
     pairs = varints[: cursor - dims].reshape(-1, 2)
     if not pairs[:, 0].all():
         raise CorruptStreamError("run length of zero")
-    slots = np.array(slots)
     # Channel c holds the slots after its count up to the next count slot.
-    lasts = slots[1:] - 1
+    lasts = at[1:] - 1
     bounds = np.zeros(dims + 1, dtype=np.int64)
-    np.cumsum((lasts - slots[:-1]) >> 1, out=bounds[1:])
+    np.cumsum((lasts - at[:-1]) >> 1, out=bounds[1:])
     # Varint i ends at byte i plus the continuation bytes owned up to it.
     stops = np.zeros(dims + 1, dtype=np.int64)
     np.add(lasts, owner.searchsorted(lasts, side="right") + 1, out=stops[1:])
     nbytes = stops[1:] - stops[:-1]
-    return pairs, bounds, np.array(counts, dtype=np.uint64), nbytes
+    return pairs, bounds, counts, nbytes
 
 
 def rlc_decode(data, max_elements: int = MAX_ELEMENTS) -> np.ndarray:
@@ -413,6 +500,18 @@ def parse_groups(payloads, layout: AttributeLayout, anchor_count: int):
         del pairs  # so the next group's parse does not hold this group's tokens
 
 
+def _decode_tokens(tokens):
+    """(values, runs) of parse_groups' (run, zigzag value) rows: int32 values, intp runs.
+
+    parse_groups checked every zigzag code below 2**32, so each decodes in 32
+    bits; the casts copy each column contiguous.
+    """
+    zigzag = tokens[:, 1].astype(np.uint32)
+    values = zigzag >> 1
+    values ^= -(zigzag & 1)
+    return values.view(np.int32), tokens[:, 0].astype(np.intp)
+
+
 def decode_groups(payloads, layout: AttributeLayout, anchor_count: int):
     """Decode the attribute groups and measure their channel streams.
 
@@ -427,17 +526,11 @@ def decode_groups(payloads, layout: AttributeLayout, anchor_count: int):
     for name, pairs, bounds, nbytes in parse_groups(payloads, layout, anchor_count):
         out = np.empty((anchor_count, len(bounds) - 1), dtype=np.int32, order="F")
         for a, b in spans(len(bounds) - 1, anchor_count):
-            # parse_groups checked every zigzag code below 2**32, so each
-            # decodes in 32 bits; the casts copy each column contiguous.
-            tokens = pairs[bounds[a] : bounds[b]]
-            zigzag = tokens[:, 1].astype(np.uint32)
-            values = zigzag >> 1
-            values ^= -(zigzag & 1)
-            runs = tokens[:, 0].astype(np.intp)
-            out.T[a:b] = np.repeat(values.view(np.int32), runs).reshape(b - a, anchor_count)
+            values, runs = _decode_tokens(pairs[bounds[a] : bounds[b]])
+            out.T[a:b] = np.repeat(values, runs).reshape(b - a, anchor_count)
         matrices[name] = out
         channel_bytes[name] = nbytes
-        del pairs, tokens
+        del pairs, values, runs
     return matrices, channel_bytes
 
 

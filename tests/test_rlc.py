@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -5,13 +6,17 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import voxgs.rlc as rlc
 from voxgs import (
     AnchorCloud,
     AttributeLayout,
     QuantParams,
     RlcStream,
+    analyze_container,
     decode_attributes,
+    decode_container,
     encode_attributes,
+    encode_container,
     octree_encode,
     rlc_decode,
     rlc_encode,
@@ -26,7 +31,8 @@ from voxgs.rlc import (
     zigzag_encode,
 )
 from tests.conftest import random_cloud
-from tests.test_pool import _single_faults, _varints
+from tests.test_pool import _fields, _single_faults, _varints
+from tests.test_sizes import _sections
 
 
 def varint_len_oracle(value):
@@ -595,3 +601,178 @@ class TestAttributeCoding:
         stream = rlc_encode([9, 9, 1])
         assert isinstance(stream, RlcStream)
         assert stream.bits == 8 * len(stream.serialized)
+
+
+def parse_channels_reference(data, dims, max_elements):
+    """_parse_channels by a plain walk, one slot at a time: (pairs, bounds, counts, nbytes) as lists.
+
+    Faults come in the codec's order: the varints, then each channel's walk
+    (a missing stream, a count above max_elements, runs, each clipped to
+    max_elements + 1, that do not sum to the count within count tokens, a
+    run without its value), then a run of zero anywhere.
+    """
+    varints, ends = _varints(data)
+    pairs, bounds, counts, nbytes = [], [0], [], []
+    cursor = channel_start = 0
+    for _ in range(dims):
+        if cursor >= len(varints):
+            raise CorruptStreamError("missing channel stream")
+        count, first = varints[cursor], cursor + 1
+        if count > max_elements:
+            raise CorruptStreamError(f"element count {count} exceeds limit {max_elements}")
+        total = tokens = 0
+        while total < count and tokens < count and first + 2 * tokens < len(varints):
+            total += min(varints[first + 2 * tokens], max_elements + 1)
+            tokens += 1
+        if total != count:
+            raise CorruptStreamError("run lengths do not sum to the element count")
+        cursor = first + 2 * tokens
+        if cursor > len(varints):
+            raise CorruptStreamError("truncated token stream")
+        pairs += [list(pair) for pair in zip(varints[first:cursor:2], varints[first + 1 : cursor : 2])]
+        bounds.append(len(pairs))
+        counts.append(count)
+        nbytes.append(ends[cursor - 1] + 1 - channel_start)
+        channel_start = ends[cursor - 1] + 1
+    if any(run == 0 for run, _ in pairs):
+        raise CorruptStreamError("run length of zero")
+    return pairs, bounds, counts, nbytes
+
+
+def _parse_outcome(parse, data, dims, max_elements):
+    try:
+        parts = parse(data, dims, max_elements)
+    except CorruptStreamError as exc:
+        return str(exc)
+    return [part.tolist() if isinstance(part, np.ndarray) else part for part in parts]
+
+
+# (_BLOCK_SLOTS, _CHUNK_BLOCKS): the one-slot walk first, then blocks of 2
+# and 4 slots of a parity, clipped and summed in one chunk or a few blocks
+# at a time.
+BLOCKINGS = [(1, 1024), (2, 1024), (2, 1), (4, 3), (4, 1024)]
+
+
+def _blocked_outcomes(monkeypatch, data, dims, max_elements):
+    """The parse's outcome under each of BLOCKINGS, every stream blocked."""
+    monkeypatch.setattr(rlc, "_BLOCKED_VARINTS", 0)
+    outcomes = []
+    for block, chunk in BLOCKINGS:
+        monkeypatch.setattr(rlc, "_BLOCK_SLOTS", block)
+        monkeypatch.setattr(rlc, "_CHUNK_BLOCKS", chunk)
+        outcomes.append(_parse_outcome(rlc._parse_channels, data, dims, max_elements))
+    return outcomes
+
+
+def _channels(*channels):
+    """A stream of (count, [(run, zigzag code), ...]) channels, each slot packed canonically."""
+    slots = [v for count, tokens in channels for v in (count, *(x for pair in tokens for x in pair))]
+    return varint_pack(np.array(slots, dtype=np.uint64))
+
+
+RUN_FAULT = "run lengths do not sum to the element count"
+WRAP = 2**64 - 1
+
+# Channel 0's runs are the odd slots from slot 1, so its token t is slot t
+# of the odd parity and, with blocks of 4, a block edge falls after tokens
+# 4, 8, ...; each later channel starts after its predecessor's last value.
+# (channels, max_elements, expected: None for a parse that succeeds).
+BLOCK_EDGE_CASES = {
+    "ends on a block's last slot": ([(4, [(1, 0)] * 4), (3, [(3, 5)])], 8, None),
+    "ends one slot before a block edge": ([(3, [(1, 0)] * 3), (2, [(1, 1), (1, 2)])], 8, None),
+    "ends one slot after a block edge": ([(5, [(1, 0)] * 5), (2, [(2, 1)])], 8, None),
+    "count reached in the tail past the last full block": (
+        [(2, [(1, 0)] * 2), (6, [(1, 1), (1, 2)] * 3)], 8, None,
+    ),
+    "count of zero": ([(0, []), (3, [(3, 1)]), (0, []), (0, []), (2, [(2, 4)]), (0, [])], 8, None),
+    # The slots before each count of zero in its block are zero values.
+    "counts of zero after zero values": (
+        [(2, [(1, 0), (1, 0)]), (0, []), (0, []), (1, [(1, 0)]), (0, [])], 8, None,
+    ),
+    "a count of zero after zero runs": (
+        [(3, [(1, 0), (0, 0), (2, 0)]), (0, []), (1, [(1, 0)])], 8, "run length of zero",
+    ),
+    "count above max_elements": ([(4, [(4, 0)]), (9, [(9, 1)])], 8, "element count 9 exceeds limit 8"),
+    # Unclipped, the runs would sum to 2**64 + 20, which wraps to the count.
+    "a run of 2**64-1 and small runs in later blocks": (
+        [(20, [(WRAP, 0)] + [(3, 1), (3, 0)] * 3 + [(3, 1)])], 20, RUN_FAULT,
+    ),
+    "a zigzag code of 2**64-1 before a channel's start in its block": (
+        [(1, [(1, WRAP)]), (3, [(1, 0), (2, 1)]), (2, [(2, WRAP)]), (1, [(1, 0)])], 8, None,
+    ),
+    "tokens that fill several whole blocks": (
+        [(16, [(1, v % 3) for v in range(16)]), (12, [(2, 1), (2, 0)] * 3), (1, [(1, 0)])], 16, None,
+    ),
+    "a count never reached": ([(4, [(1, 0)] * 4), (10, [(1, 1), (1, 0)] * 3)], 10, RUN_FAULT),
+    "more tokens than the count": ([(3, [(1, 0), (0, 1), (0, 0), (0, 1), (2, 0)])], 8, RUN_FAULT),
+    "a clipped run past a block edge": ([(5, [(1, 0)] * 4 + [(9, 1)])], 8, RUN_FAULT),
+    "a run without its value": ([(3, [(1, 0)] * 3), (2, [(2, 1)])], 8, "truncated token stream"),
+    "a missing channel": ([(4, [(2, 0), (2, 1)])], 8, "missing channel stream"),
+}
+
+
+class TestBlockedWalk:
+    """The walk over blocks of 2 and 4 run slots finds what the one-slot walk finds."""
+
+    @pytest.mark.parametrize("label", list(BLOCK_EDGE_CASES))
+    def test_block_edges_and_hostile_runs(self, monkeypatch, label):
+        channels, max_elements, expected = BLOCK_EDGE_CASES[label]
+        dims = len(channels) + (label == "a missing channel")
+        data = _channels(*channels)
+        if label == "a run without its value":
+            data = data[:-1]  # the last channel's last value
+            dims = 2
+        reference = _parse_outcome(parse_channels_reference, data, dims, max_elements)
+        outcomes = _blocked_outcomes(monkeypatch, data, dims, max_elements)
+        assert outcomes == [reference] * len(BLOCKINGS)
+        if expected is None:
+            assert reference[2] == [count for count, _ in channels]
+        else:
+            assert reference == expected
+
+    def test_single_faults_match_the_one_slot_walk(self, monkeypatch):
+        rng = np.random.default_rng(79)
+        cloud = random_cloud(rng, n=16, depth=4, layout=AttributeLayout(k=1, m=2))
+        n = cloud.anchor_count
+        blob = encode_container(cloud)
+        geometry, offsets, features, scalings, _ = _sections(blob)
+        # The attribute region as the joined parse reads it, and the geometry
+        # stream with the container's bound.
+        streams = [(offsets + features + scalings, 11, n), (geometry, 1, 4 * n)]
+        seen = set()
+        for stream, dims, max_elements in streams:
+            for mutated in [stream, *_single_faults(stream)]:
+                reference = _parse_outcome(parse_channels_reference, mutated, dims, max_elements)
+                outcomes = _blocked_outcomes(monkeypatch, mutated, dims, max_elements)
+                assert outcomes == [reference] * len(BLOCKINGS)
+                seen.add(reference if isinstance(reference, str) else None)
+        for kind in (None, "truncated varint", "element count", RUN_FAULT, "run length of zero",
+                     "missing channel stream", "truncated token stream"):
+            assert any(kind == m if kind is None else m and kind in m for m in seen), kind
+        # The whole container decodes and analyzes the same under every blocking.
+        monkeypatch.setattr(rlc, "_BLOCKED_VARINTS", 0)
+        results = []
+        for block, chunk in BLOCKINGS:
+            monkeypatch.setattr(rlc, "_BLOCK_SLOTS", block)
+            monkeypatch.setattr(rlc, "_CHUNK_BLOCKS", chunk)
+            decoded = decode_container(blob).equals(sort_by_morton(cloud))
+            results.append((decoded, _fields(analyze_container(blob))))
+        assert results == [(True, results[0][1])] * len(BLOCKINGS)
+
+    def test_long_streams_walk_in_blocks_without_full_length_sums(self):
+        # One run-free channel: every token is a run of one, two one-byte varints.
+        n = 200_000
+        stream = rlc_encode(np.arange(n) % 127 - 63).serialized
+        assert len(stream) == 1 + 2 * n + 2  # the count takes three bytes
+        tracemalloc.start()
+        try:
+            pairs, bounds, counts, nbytes = rlc._parse_channels(stream, 1, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert bounds.tolist() == [0, n] and counts.tolist() == [n]
+        assert nbytes.tolist() == [len(stream)]
+        # The unpack peaks at 10 bytes a varint: 8 for the values, 1 for the
+        # continuation mask and 1 for the bytes it keeps. A prefix sum of every
+        # slot, alive with the values, took it to 16.
+        assert peak < 11 * (2 * n + 1)
