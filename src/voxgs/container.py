@@ -60,7 +60,7 @@ from .rate import RateReport, _value_counts, channel_bits, estimate_bits, fit_la
 from .rlc import (
     MAX_ELEMENTS,
     _decode_tokens,
-    decode_groups,
+    decode_attributes,
     encode_attributes,
     parse_groups,
     read_varints,
@@ -277,10 +277,8 @@ def _decode(data: bytes):
 def decode_container(data: bytes) -> AnchorCloud:
     """Parse and fully verify a container; returns the cloud in Morton order."""
     anchor_count, quant, layout, bbox, sections, positions = _decode(data)
-    groups, _ = decode_groups(sections, layout, anchor_count)
-    return AnchorCloud(
-        positions=positions, **groups, layout=layout, quant=quant, bbox=bbox, mlp_blob=sections["mlp"]
-    )
+    groups = decode_attributes(sections, layout, anchor_count)
+    return AnchorCloud(positions, *groups, layout, quant, bbox, sections["mlp"])
 
 
 def analyze_container(data: bytes):

@@ -57,9 +57,14 @@ def as_fraction(value, name="scale") -> Fraction:
     return frac
 
 
+def _is_int(value) -> bool:
+    """The integer rule of q_p, k and m: an int or numpy integer, not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def as_grid(q_p) -> int:
     """q_p as an int grid resolution; ValueError unless an integer in [1, MAX_GRID]."""
-    if not isinstance(q_p, (int, np.integer)) or not 1 <= q_p <= MAX_GRID:
+    if not _is_int(q_p) or not 1 <= q_p <= MAX_GRID:
         raise ValueError(f"q_p must be an integer in [1, {MAX_GRID}], got {q_p!r}")
     return int(q_p)
 
@@ -95,6 +100,11 @@ class AttributeLayout:
     m: int
 
     def __post_init__(self):
+        for name in ("k", "m"):
+            value = getattr(self, name)
+            if not _is_int(value):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
         if self.k <= 0 or self.m <= 0:
             raise ValueError("k and m must be positive")
         if self.k > MAX_LAYOUT_DIM or self.m > MAX_LAYOUT_DIM:

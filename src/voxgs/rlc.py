@@ -38,15 +38,16 @@ over the count slots before them, one slice assignment per channel, and the
 channels' bounds and ends are built as arrays. It checks
 every fault, in order: varints, the walk, a run of zero, a channel count,
 trailing bytes, and last an int32 overflow (a zigzag code of 2**32 or
-more). Payloads that together fit one span (model._SPAN_ELEMENTS bytes) are
-parsed joined, in one call, so a small container pays the per-call costs
-once, not once per group; see _parse_joined for when that parse stands.
-Larger payloads are parsed one group at a time, and a group's tokens are
-released before the next group's parse. _decode_tokens turns a span of
-channels' tokens into int32 values and run lengths, unchecked and in 32
-bits, which the int32 check allows: decode_groups repeats them into each
-span's columns, the spans bounding the temporaries, and analyze_container,
-which runs only the parse, counts them. A single channel
+more). One routine, _parse_joined, parses and checks groups and raises the
+first fault. Payloads that together fit one span (model._SPAN_ELEMENTS
+bytes) are parsed joined, in one call, so a small container pays the
+per-call costs once, not once per group; if that raises, and always for
+larger payloads, it runs per group on each payload in place, and a group's
+tokens are released before the next group's parse. _decode_tokens turns a
+span of channels' tokens into int32 values and run lengths, unchecked and
+in 32 bits, which the int32 check allows: decode_groups repeats them into
+each span's columns, the spans bounding the temporaries, and
+analyze_container, which runs only the parse, counts them. A single channel
 (rlc_encode, rlc_decode) is the one-channel case of the same kernels, and
 varint_pack and _varint_unpack hold the only LEB128 writer and decoding
 rule of the codec.
@@ -434,43 +435,34 @@ def encode_attributes(cloud: AnchorCloud, codes=None):
     return payloads, bits
 
 
-def _group_fault(name, pairs, counts, nbytes, size: int, anchor_count: int):
-    """The first count, trailing-byte or int32 fault of a parsed group of size bytes, or None."""
-    short = np.flatnonzero(counts != anchor_count)
-    if short.size:
-        c = short[0]
-        return f"{name} channel {c} decodes {counts[c]} elements, expected {anchor_count}"
-    if nbytes.sum() != size:
-        return f"trailing bytes after {name} channels"
-    # A value fits int32 exactly when its zigzag code is below 2**32.
-    if pairs.size and pairs[:, 1].max() >= 1 << 32:
-        return f"{name} values overflow int32"
-    return None
+def _parse_joined(payloads, names, layout: AttributeLayout, anchor_count: int):
+    """parse_groups' tuples for the named groups, from one _parse_channels call over
+    their payloads joined; one name's payload is parsed as is, with no copy.
 
-
-def _parse_joined(payloads, layout: AttributeLayout, anchor_count: int):
-    """parse_groups' tuples from one _parse_channels call over the joined payloads, or None.
-
-    None unless every group passes its checks in the joined parse: every
-    count is the anchor count, no value overflows int32, and its channels'
-    bytes sum to its payload's length. Each group's last channel then ends
-    exactly at its payload's end, so every varint lies inside its own
-    payload and each group's tokens, bounds and byte lengths are those its
-    own parse would find.
+    Raises CorruptStreamError at the first fault: the parse's own, then per
+    group a count other than anchor_count, bytes after its last channel, and
+    a value int32 cannot hold. Once every group passes, each group's last
+    channel ends exactly at its payload's end, so every varint lies inside
+    its own payload and each group's tokens, bounds and byte lengths are
+    those its own parse would find.
     """
-    dims = [layout.dims_for(name) for name in GROUPS]
-    edges = np.cumsum([0, *dims]).tolist()
-    try:
-        joined = _parse_channels(b"".join(payloads[name] for name in GROUPS), edges[-1], anchor_count)
-    except CorruptStreamError:
-        return None
-    pairs, bounds, counts, nbytes = joined
+    edges = list(accumulate(map(layout.dims_for, names), initial=0))
+    data = payloads[names[0]] if len(names) == 1 else b"".join(payloads[name] for name in names)
+    pairs, bounds, counts, nbytes = _parse_channels(data, edges[-1], anchor_count)
     groups = []
-    for name, a, b in zip(GROUPS, edges[:-1], edges[1:]):
-        group = pairs[bounds[a] : bounds[b]], counts[a:b], nbytes[a:b]
-        if _group_fault(name, *group, len(payloads[name]), anchor_count):
-            return None
-        groups.append((name, group[0], bounds[a : b + 1] - bounds[a], group[2]))
+    for name, a, b in zip(names, edges[:-1], edges[1:]):
+        if (short := np.flatnonzero(counts[a:b] != anchor_count)).size:
+            c = short[0]
+            raise CorruptStreamError(
+                f"{name} channel {c} decodes {counts[a + c]} elements, expected {anchor_count}"
+            )
+        if nbytes[a:b].sum() != len(payloads[name]):
+            raise CorruptStreamError(f"trailing bytes after {name} channels")
+        tokens = pairs[bounds[a] : bounds[b]]
+        # A value fits int32 exactly when its zigzag code is below 2**32.
+        if tokens.size and tokens[:, 1].max() >= 1 << 32:
+            raise CorruptStreamError(f"{name} values overflow int32")
+        groups.append((name, tokens, bounds[a : b + 1] - bounds[a], nbytes[a:b]))
     return groups
 
 
@@ -478,26 +470,25 @@ def parse_groups(payloads, layout: AttributeLayout, anchor_count: int):
     """Yield (name, pairs, bounds, nbytes) per group, in order, once all its checks pass:
     _parse_channels' tokens, each value an int32, and each channel's payload bytes.
 
-    Payloads that together fit one span are parsed joined, in one call
-    (_parse_joined); if that parse fails any check, the groups are parsed one
-    at a time, as larger payloads always are, so the first fault is the same
-    either way.
+    One routine, _parse_joined, parses and checks the groups and raises their
+    faults. Payloads that together fit one span are parsed joined, in one
+    call; if that raises, the groups are parsed one at a time, as larger
+    payloads always are, so the first fault is the same either way.
     """
     if anchor_count < 0 or anchor_count > MAX_ELEMENTS:
         raise CorruptStreamError(f"implausible anchor count {anchor_count}")
     if sum(len(payloads[name]) for name in GROUPS) <= model._SPAN_ELEMENTS:
-        groups = _parse_joined(payloads, layout, anchor_count)
-        if groups is not None:
+        try:
+            groups = _parse_joined(payloads, GROUPS, layout, anchor_count)
+        except CorruptStreamError:
+            pass  # the per-group parse below raises the first fault
+        else:
             yield from groups
             return
     for name in GROUPS:
-        payload = payloads[name]
-        pairs, bounds, counts, nbytes = _parse_channels(payload, layout.dims_for(name), anchor_count)
-        fault = _group_fault(name, pairs, counts, nbytes, len(payload), anchor_count)
-        if fault:
-            raise CorruptStreamError(fault)
-        yield name, pairs, bounds, nbytes
-        del pairs  # so the next group's parse does not hold this group's tokens
+        (group,) = _parse_joined(payloads, (name,), layout, anchor_count)
+        yield group
+        del group  # so the next group's parse does not hold this group's tokens
 
 
 def _decode_tokens(tokens):

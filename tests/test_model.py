@@ -20,7 +20,7 @@ from voxgs.model import GROUPS, MAX_GRID, as_fraction
 
 # The q_p rule's message, which QuantParams, voxelize and quantize_positions share.
 Q_P_RULE = rf"^q_p must be an integer in \[1, {MAX_GRID}\], got "
-BAD_Q_P = [4.5, math.nan, math.inf, "8", 0, -1, MAX_GRID + 1]
+BAD_Q_P = [4.5, math.nan, math.inf, "8", 0, -1, MAX_GRID + 1, True]
 
 # Each scale every reader refuses, with its message.
 _NOT_RATIONAL = r"^(q_o|q_f) value {} is not a rational number$"
@@ -148,6 +148,27 @@ class TestAttributeLayout:
         for k, m in ((2**16 + 1, 1), (1, 2**16 + 1), (10**9, 50)):
             with pytest.raises(ValueError, match="must not exceed"):
                 AttributeLayout(k=k, m=m)
+
+    @pytest.mark.parametrize(
+        "k,m,message",
+        [
+            (2.5, 3, r"^k must be an integer, got 2\.5$"),
+            ("2", 3, r"^k must be an integer, got '2'$"),
+            (True, 3, r"^k must be an integer, got True$"),
+            (2, 3.0, r"^m must be an integer, got 3\.0$"),
+            (2, np.float64(3), r"^m must be an integer, got "),
+        ],
+        ids=["k=2.5", "k='2'", "k=True", "m=3.0", "m=float64"],
+    )
+    def test_non_integer_raises_value_error(self, k, m, message):
+        # The integer rule of q_p: an int or numpy integer, not a bool.
+        with pytest.raises(ValueError, match=message):
+            AttributeLayout(k=k, m=m)
+
+    def test_numpy_integers_stored_as_int(self):
+        layout = AttributeLayout(k=np.int64(2), m=np.uint16(5))
+        assert (type(layout.k), type(layout.m)) == (int, int)
+        assert layout == AttributeLayout(k=2, m=5)
 
 
 class TestAnchorCloud:

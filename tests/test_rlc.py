@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import voxgs.model as model
 import voxgs.rlc as rlc
 from voxgs import (
     AnchorCloud,
@@ -31,7 +32,7 @@ from voxgs.rlc import (
     zigzag_encode,
 )
 from tests.conftest import random_cloud
-from tests.test_pool import _fields, _single_faults, _varints
+from tests.test_spans import _fields, _single_faults, _varints
 from tests.test_sizes import _sections
 
 
@@ -601,6 +602,30 @@ class TestAttributeCoding:
         stream = rlc_encode([9, 9, 1])
         assert isinstance(stream, RlcStream)
         assert stream.bits == 8 * len(stream.serialized)
+
+    def test_per_group_parse_reads_each_payload_in_place(self, monkeypatch):
+        """Payloads one byte over the joined budget are parsed one group at a
+        time, each from a memoryview into the container, never from a copy."""
+        cloud = random_cloud(np.random.default_rng(51), n=16, depth=4, layout=AttributeLayout(k=1, m=2))
+        blob = encode_container(cloud)
+        _, *payloads, _ = _sections(blob)
+        monkeypatch.setattr(model, "_SPAN_ELEMENTS", sum(map(len, payloads)) - 1)
+        parsed = []
+        parse = rlc._parse_channels
+
+        def spy(data, dims, max_elements):
+            parsed.append((dims, data))
+            return parse(data, dims, max_elements)
+
+        monkeypatch.setattr(rlc, "_parse_channels", spy)
+        for run in (decode_container, analyze_container):
+            parsed.clear()
+            run(blob)
+            groups = parsed[1:]  # after the geometry section's one channel
+            assert [dims for dims, _ in groups] == [3, 2, 6]
+            for (_, data), payload in zip(groups, payloads):
+                assert isinstance(data, memoryview)
+                assert data.obj == blob and data == payload
 
 
 def parse_channels_reference(data, dims, max_elements):

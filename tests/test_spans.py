@@ -519,13 +519,13 @@ def test_analyze_refuses_what_decode_refuses_and_never_expands(monkeypatch, span
     _small_spans(monkeypatch, span_elements)
     # decode_groups is the parse plus the expansion; analyze runs only the parse.
     expansions = []
-    expand = container.decode_groups
+    expand = rlc.decode_groups
 
     def spy(*args):
         expansions.append(args)
         return expand(*args)
 
-    monkeypatch.setattr(container, "decode_groups", spy)
+    monkeypatch.setattr(rlc, "decode_groups", spy)
     # Scalings channel 0 at the int32 bounds and one step past them.
     geometry, offsets, features, _, mlp = _sections(blob)
     n = cloud.anchor_count
